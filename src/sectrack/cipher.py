@@ -50,14 +50,6 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _splitmix_stream(state: int, count: int) -> list[int]:
-    out = []
-    for _ in range(count):
-        state = (state + _GAMMA) & _MASK64
-        out.append(_mix64(state))
-    return out
-
-
 def _fold_seed(seed: int) -> int:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
@@ -70,7 +62,9 @@ def _fold_seed(seed: int) -> int:
 def _rng96(seed: int, domain: int) -> int:
     # First 96 bits of two successive SplitMix64 draws, seeded by the
     # folded seed with the domain constant mixed into the initial state.
-    z1, z2 = _splitmix_stream(_fold_seed(seed) ^ domain, 2)
+    state = ((_fold_seed(seed) ^ domain) + _GAMMA) & _MASK64
+    z1 = _mix64(state)
+    z2 = _mix64((state + _GAMMA) & _MASK64)
     return (z1 << 32) | (z2 >> 32)
 
 
@@ -267,10 +261,11 @@ def derive_initial_key(seeds: SeedPair, node_id: int, first_plain_seg: int) -> I
 
 def evolve_key(prev: IntegratedKey, node_id: int) -> IntegratedKey:
     """Next key in the chain, expanded from the halves of the previous one."""
+    whole = prev.as_int()
     return IntegratedKey(
-        k1=rng1(prev.first_half()),
+        k1=rng1(whole >> 128),
         k2=node_id & _MASK64,
-        k3=rng2(prev.second_half()),
+        k3=rng2(whole & _MASK128),
     )
 
 
@@ -294,10 +289,11 @@ def reconstruct_initial_key(
 
 
 def _xor_with_keystream(payload: bytes, key: IntegratedKey) -> bytes:
-    block = key.keystream_block()
-    reps = len(payload) // BLOCK_BYTES
-    stream = block * reps
-    return bytes(a ^ b for a, b in zip(payload, stream))
+    # The whole payload XORed as one big-endian integer, byte for byte the
+    # same as XORing each byte with the repeated keystream block.
+    n = len(payload)
+    stream = key.keystream_block() * (n // BLOCK_BYTES)
+    return (int.from_bytes(payload, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
 
 
 def encrypt_packet(plain: EnsemblePacket, key: IntegratedKey) -> CipherPacket:
@@ -327,7 +323,10 @@ def key_chain(first: IntegratedKey, node_id: int, length: int) -> list[Integrate
 def xor_fold_digest(payload: bytes) -> int:
     """64-bit XOR fold of a block-aligned payload, the challenge receipt."""
     _check_block_structure(payload)
+    # XOR of the big-endian 64-bit words, folded off one integer.
+    whole = int.from_bytes(payload, "big")
     digest = 0
-    for i in range(0, len(payload), 8):
-        digest ^= int.from_bytes(payload[i : i + 8], "big")
+    while whole:
+        digest ^= whole & _MASK64
+        whole >>= 64
     return digest

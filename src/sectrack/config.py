@@ -9,11 +9,12 @@ directory alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from sectrack.channel import ChannelConfig
+from sectrack.channel import MAX_BEAMS, ChannelConfig
 from sectrack.geometry import Position, ZoneConfig
 
 
@@ -95,8 +96,16 @@ class ScenarioConfig:
         )
 
     def sample_times(self) -> tuple[float, ...]:
-        n = int(round(self.duration / self.sample_interval))
+        """Tracking instants k * sample_interval for k >= 1, none past duration."""
+        n = math.floor(self.duration / self.sample_interval + 1e-9)
         return tuple(self.sample_interval * k for k in range(1, n + 1))
+
+    def lane_start(self, lane: int) -> Position:
+        """Default start of the parallel-path target on lane `lane`."""
+        return Position(
+            self.area_side * 0.1,
+            self.area_side / 2.0 + (lane - (self.malicious_count - 1) / 2.0) * self.lane_spacing,
+        )
 
 
 SECTIONS: dict[str, tuple[str, ...]] = {
@@ -232,6 +241,14 @@ def validate(cfg: ScenarioConfig) -> None:
             f"'malicious_count' ({cfg.malicious_count}) must be below "
             f"'node_count' ({cfg.node_count})"
         )
+    if cfg.sectors > MAX_BEAMS:
+        raise ConfigError(
+            f"'sectors' ({cfg.sectors}) must not exceed the channel model's "
+            f"{MAX_BEAMS} beams"
+        )
+    for name in ("alpha", "lane_spacing"):
+        if getattr(cfg, name) < 0:
+            raise ConfigError(f"'{name}' must be nonnegative, got {getattr(cfg, name)}")
     if cfg.v_min < 0 or cfg.v_max < 0:
         raise ConfigError("'v_min' and 'v_max' must be nonnegative")
     if cfg.v_min > cfg.v_max:
@@ -254,7 +271,28 @@ def validate(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"'model' must be random_waypoint or parallel_path, got '{cfg.model}'")
     if cfg.auth_duration < 0 or cfg.master_seed < 0:
         raise ConfigError("'auth_duration' and 'master_seed' must be nonnegative")
+    if cfg.model == "parallel_path":
+        _check_lane_starts(cfg)
     cfg.channel_config()  # re-runs the channel invariants (beta bound etc.)
+
+
+def _check_lane_starts(cfg: ScenarioConfig) -> None:
+    # Lanes go to the moving targets in id order, as the engine assigns them;
+    # a placed target starts where it is placed instead.
+    static_ids = cfg.static_ids or frozenset()
+    placements = cfg.placements or {}
+    lane = 0
+    for nid in range(cfg.node_count - cfg.malicious_count, cfg.node_count):
+        if nid in static_ids:
+            continue
+        x, y = cfg.lane_start(lane)  # x is a tenth of the way across, always inside
+        if nid not in placements and not 0.0 <= y <= cfg.area_side:
+            raise ConfigError(
+                f"parallel_path lane {lane} would start at ({x:g}, {y:g}), outside the "
+                f"{cfg.area_side:g} m area; reduce 'lane_spacing' ({cfg.lane_spacing:g}) "
+                f"or 'malicious_count' ({cfg.malicious_count})"
+            )
+        lane += 1
 
 
 def echo_config(cfg: ScenarioConfig, path: str | Path) -> Path:

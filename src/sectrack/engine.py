@@ -261,12 +261,8 @@ class Engine:
                 mob = mobility.make_random_waypoint(pos, 0.0, 0.0, area, node_rng)
             elif role is Role.MALICIOUS_TARGET and cfg.model == "parallel_path":
                 speed = float(node_rng.uniform(cfg.v_min, cfg.v_max))
-                default_lane_pos = Position(
-                    area * 0.1,
-                    area / 2.0 + (lane - (cfg.malicious_count - 1) / 2.0) * cfg.lane_spacing,
-                )
                 mob = mobility.make_parallel_path(
-                    placements.get(nid, default_lane_pos),
+                    placements[nid] if nid in placements else cfg.lane_start(lane),
                     speed,
                     cfg.heading,
                     lane,
@@ -284,18 +280,17 @@ class Engine:
 
     def _schedule_all(self) -> None:
         cfg = self.cfg
-        t = MOBILITY_DT
-        while t <= cfg.duration + 1e-9:
-            self.queue.push(t, EventKind.MOBILITY)
-            t += MOBILITY_DT
-        t = 0.0
-        while t <= cfg.duration + 1e-9:
-            self.queue.push(t, EventKind.SWEEP)
-            t += cfg.reauth_interval
-        t = cfg.sample_interval / 2.0
-        while t <= cfg.duration + 1e-9:
-            self.queue.push(t, EventKind.ASSIGN)
-            t += cfg.sample_interval
+
+        def every(kind: EventKind, start: float, dt: float) -> None:
+            # start + k * dt, not a running sum, so no rounding error piles up.
+            k = 0
+            while (t := start + k * dt) <= cfg.duration + 1e-9:
+                self.queue.push(t, kind)
+                k += 1
+
+        every(EventKind.MOBILITY, MOBILITY_DT, MOBILITY_DT)
+        every(EventKind.SWEEP, 0.0, cfg.reauth_interval)
+        every(EventKind.ASSIGN, cfg.sample_interval / 2.0, cfg.sample_interval)
         for t in cfg.sample_times():
             self.queue.push(t, EventKind.TRACK)
 

@@ -2,15 +2,17 @@
 
 Two models: random waypoint with zero pause time (the default roaming
 behavior) and parallel-path lanes (targets marching along fixed headings
-with boundary reflection, for trajectory experiments).  Steps are pure
-state transitions driven by an explicit per-node random stream.
+with boundary reflection, for trajectory experiments).  A step updates
+the node's ``MobilityState`` in place and returns that same object; every
+random draw comes from an explicit per-node stream, in a fixed order, so
+one seed gives one trajectory.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +24,7 @@ class MobilityKind(enum.Enum):
     PARALLEL_PATH = "parallel_path"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MobilityState:
     position: Position
     velocity: tuple[float, float] = (0.0, 0.0)
@@ -49,7 +51,8 @@ def make_random_waypoint(
         position=position, v_min=v_min, v_max=v_max, kind=MobilityKind.RANDOM_WAYPOINT
     )
     if v_max == 0.0:
-        return replace(state, waypoint=position)
+        state.waypoint = position
+        return state
     return _retarget(state, area, rng)
 
 
@@ -81,9 +84,12 @@ def _retarget(state: MobilityState, area: float, rng: np.random.Generator) -> Mo
     dx = waypoint[0] - state.position[0]
     dy = waypoint[1] - state.position[1]
     d = math.hypot(dx, dy)
+    state.waypoint = waypoint
     if d == 0.0 or speed == 0.0:
-        return replace(state, waypoint=waypoint, velocity=(0.0, 0.0))
-    return replace(state, waypoint=waypoint, velocity=(speed * dx / d, speed * dy / d))
+        state.velocity = (0.0, 0.0)
+    else:
+        state.velocity = (speed * dx / d, speed * dy / d)
+    return state
 
 
 def _step_waypoint(
@@ -95,22 +101,19 @@ def _step_waypoint(
         if speed == 0.0:
             if state.v_max == 0.0:
                 return state  # stationary node
-            state = _retarget(state, area, rng)
+            _retarget(state, area, rng)
             continue
-        leg = math.hypot(
-            state.waypoint[0] - state.position[0], state.waypoint[1] - state.position[1]
-        )
+        (px, py), (wx, wy) = state.position, state.waypoint
+        leg = math.hypot(wx - px, wy - py)
         travel = speed * remaining
         if travel < leg:
             f = travel / leg
-            pos = Position(
-                state.position[0] + f * (state.waypoint[0] - state.position[0]),
-                state.position[1] + f * (state.waypoint[1] - state.position[1]),
-            )
-            return replace(state, position=pos)
+            state.position = Position(px + f * (wx - px), py + f * (wy - py))
+            return state
         # Arrive, then keep moving toward a fresh waypoint with the leftover time.
         remaining -= leg / speed
-        state = _retarget(replace(state, position=state.waypoint), area, rng)
+        state.position = state.waypoint
+        _retarget(state, area, rng)
     return state
 
 
@@ -124,19 +127,23 @@ def _fold(coord: float, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _step_parallel(state: MobilityState, dt: float, area: float) -> MobilityState:
-    x, sx = _fold(state.position[0] + state.velocity[0] * dt, 0.0, area)
-    y, sy = _fold(state.position[1] + state.velocity[1] * dt, 0.0, area)
-    return replace(
-        state,
-        position=Position(x, y),
-        velocity=(sx * state.velocity[0], sy * state.velocity[1]),
-    )
+    vx, vy = state.velocity
+    x, sx = _fold(state.position[0] + vx * dt, 0.0, area)
+    y, sy = _fold(state.position[1] + vy * dt, 0.0, area)
+    state.position = Position(x, y)
+    state.velocity = (sx * vx, sy * vy)
+    return state
 
 
 def step(
     state: MobilityState, dt: float, area: float, rng: np.random.Generator
 ) -> MobilityState:
-    """Advance one node by dt seconds; positions never leave [0, area]^2."""
+    """Advance one node by dt seconds, in place; positions never leave [0, area]^2.
+
+    Returns ``state`` itself, so ``node.mobility = step(node.mobility, ...)``
+    and a bare ``step(node.mobility, ...)`` are equivalent.  Callers that
+    need an earlier state must copy it before stepping.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if state.kind is MobilityKind.PARALLEL_PATH:

@@ -142,10 +142,18 @@ def agree_seeds(
 
 
 def _challenge_payloads(session: VerificationSession, rng: np.random.Generator) -> list[bytes]:
-    return [
-        cipher.pad(rng.bytes(24 + 8 * (j % 3)))  # 1..2 blocks after padding
-        for j in range(session.j_max)
-    ]
+    # 24, 32 or 40 random bytes per packet, 1..2 blocks after padding.  Each
+    # size is a whole number of the generator's 32-bit words, so one draw of
+    # the total, sliced, equals the per-packet draws and leaves the stream
+    # in the same state.
+    sizes = [24 + 8 * (j % 3) for j in range(session.j_max)]
+    blob = rng.bytes(sum(sizes))
+    payloads = []
+    end = 0
+    for size in sizes:
+        payloads.append(cipher.pad(blob[end : end + size]))
+        end += size
+    return payloads
 
 
 def _run_honest_challenge(session: VerificationSession, rng: np.random.Generator) -> bool:

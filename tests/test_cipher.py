@@ -207,6 +207,60 @@ class TestPacketCipher:
             assert back.index == 3
 
 
+class TestWholeIntegerHotPaths:
+    """The integer XOR and fold against byte-wise and word-wise references."""
+
+    @staticmethod
+    def _random_key(rnd):
+        return IntegratedKey(k1=rnd.getrandbits(96), k2=rnd.getrandbits(64), k3=rnd.getrandbits(96))
+
+    def test_xor_matches_bytewise_reference(self):
+        rnd = random.Random(21)
+        for blocks in (1, 2, 3, 4):
+            for _ in range(100):
+                key = self._random_key(rnd)
+                plain = rnd.randbytes(32 * blocks)
+                expected = bytes(a ^ b for a, b in zip(plain, key.keystream_block() * blocks))
+                assert cipher._xor_with_keystream(plain, key) == expected
+                assert encrypt_packet(EnsemblePacket(plain), key).payload == expected
+
+    def test_xor_keeps_leading_zero_bytes(self):
+        key = IntegratedKey(k1=0, k2=0, k3=1)
+        out = cipher._xor_with_keystream(bytes(64), key)
+        assert out == key.keystream_block() * 2
+        assert len(out) == 64 and out[0] == 0
+
+    def test_fold_matches_wordwise_reference(self):
+        rnd = random.Random(22)
+        for blocks in (1, 2, 3, 4):
+            for _ in range(100):
+                payload = rnd.randbytes(32 * blocks)
+                expected = 0
+                for i in range(0, len(payload), 8):
+                    expected ^= int.from_bytes(payload[i : i + 8], "big")
+                assert cipher.xor_fold_digest(payload) == expected
+
+    def test_fold_edge_payloads(self):
+        assert cipher.xor_fold_digest(bytes(32)) == 0
+        assert cipher.xor_fold_digest(b"\xff" * 32) == 0  # four equal words cancel
+        assert cipher.xor_fold_digest(bytes(31) + b"\x01") == 1
+        assert cipher.xor_fold_digest(b"\x80" + bytes(31)) == 1 << 63
+        with pytest.raises(MalformedPacketError):
+            cipher.xor_fold_digest(bytes(40))
+        with pytest.raises(MalformedPacketError):
+            cipher.xor_fold_digest(b"")
+
+    def test_evolve_matches_half_accessors(self):
+        rnd = random.Random(23)
+        for _ in range(200):
+            key = self._random_key(rnd)
+            node_id = rnd.getrandbits(64)
+            nxt = evolve_key(key, node_id)
+            assert nxt == IntegratedKey(
+                k1=rng1(key.first_half()), k2=node_id, k3=rng2(key.second_half())
+            )
+
+
 class TestPadding:
     @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 63, 64, 100])
     def test_pad_unpad_roundtrip(self, n):

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from sectrack.channel import MAX_BEAMS
 from sectrack.cli import main
 from sectrack.config import (
     ConfigError,
     ScenarioConfig,
     echo_config,
     parse_config,
+    validate,
 )
+from sectrack.engine import Engine
+from sectrack.geometry import Position
 
 
 class TestParseConfig:
@@ -89,6 +93,49 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.cfg")
+
+    def test_sectors_above_max_beams_rejected(self):
+        assert parse_config(None, {"sim.sectors": str(MAX_BEAMS)}).sectors == MAX_BEAMS
+        with pytest.raises(ConfigError, match=r"'sectors' \(9\) must not exceed .* 8 beams"):
+            parse_config(None, {"sim.sectors": str(MAX_BEAMS + 1)})
+
+    def test_negative_alpha_rejected(self):
+        assert parse_config(None, {"zone.alpha": "0"}).alpha == 0.0
+        with pytest.raises(ConfigError, match="'alpha' must be nonnegative, got -0.1"):
+            parse_config(None, {"zone.alpha": "-0.1"})
+
+    def test_negative_lane_spacing_rejected(self):
+        with pytest.raises(ConfigError, match="'lane_spacing' must be nonnegative, got -5"):
+            parse_config(None, {"mobility.lane_spacing": "-5"})
+
+    def test_lane_start_outside_area_rejected(self):
+        # 4 lanes centred on y = 200: the outer ones sit 1.5 spacings off centre.
+        ok = {"mobility.model": "parallel_path", "mobility.lane_spacing": str(200 / 1.5)}
+        assert parse_config(None, ok).model == "parallel_path"
+        bad = {"mobility.model": "parallel_path", "mobility.lane_spacing": "140"}
+        with pytest.raises(ConfigError, match=r"lane 0 would start at \(40, -10\)"):
+            parse_config(None, bad)
+        # random-waypoint runs never use the lanes
+        assert parse_config(None, {"mobility.lane_spacing": "140"}).lane_spacing == 140.0
+
+    def test_placed_or_static_targets_skip_lane_check(self):
+        # Targets 4 and 5 get lanes 0 and 1, at y = 200 -/+ 500.
+        cfg = ScenarioConfig(
+            node_count=6, malicious_count=2, model="parallel_path", lane_spacing=1000.0
+        )
+        with pytest.raises(ConfigError, match=r"lane 0 would start at \(40, -300\)"):
+            validate(cfg)
+        cfg.placements = {4: Position(40.0, 100.0)}
+        with pytest.raises(ConfigError, match=r"lane 1 would start at \(40, 700\)"):
+            validate(cfg)
+        cfg.static_ids = frozenset({5})
+        validate(cfg)
+
+    def test_every_accepted_sector_count_runs(self):
+        for sectors in range(1, MAX_BEAMS + 1):
+            cfg = ScenarioConfig(node_count=8, malicious_count=1, sectors=sectors, duration=30.0)
+            validate(cfg)
+            Engine(cfg).run()
 
     def test_echo_roundtrip_exact(self, tmp_path):
         cfg = parse_config(

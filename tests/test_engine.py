@@ -57,6 +57,33 @@ class TestEventQueue:
         assert order == list(range(10))
 
 
+class TestSchedule:
+    @staticmethod
+    def _scheduled(cfg: ScenarioConfig) -> dict[EventKind, list[float]]:
+        eng = Engine(cfg)
+        eng._schedule_all()
+        times: dict[EventKind, list[float]] = {kind: [] for kind in EventKind}
+        while len(eng.queue):
+            t, kind, _ = eng.queue.pop()
+            times[kind].append(t)
+        return times
+
+    def test_event_times_are_multiples_not_running_sums(self):
+        # 0.1 and 0.7 are inexact in binary: a running sum drifts off k * dt.
+        cfg = quiet_cluster(duration=20.0, sample_interval=0.1, reauth_interval=0.7)
+        times = self._scheduled(cfg)
+        assert times[EventKind.MOBILITY] == [float(k) for k in range(1, 21)]
+        assert times[EventKind.SWEEP] == [0.7 * k for k in range(29)]
+        assert times[EventKind.ASSIGN] == [0.05 + 0.1 * k for k in range(200)]
+        assert times[EventKind.TRACK] == list(cfg.sample_times())
+        assert times[EventKind.TRACK] == [0.1 * k for k in range(1, 201)]
+
+    def test_partial_last_interval_is_not_scheduled(self):
+        times = self._scheduled(quiet_cluster(duration=13.0))
+        assert times[EventKind.TRACK] == [5.0, 10.0]
+        assert times[EventKind.ASSIGN] == [2.5, 7.5, 12.5]
+
+
 class TestRunScenario:
     def test_exactly_100_samples_static_noiseless(self):
         log = run_scenario(quiet_cluster())

@@ -47,6 +47,42 @@ class TestEfficiency:
         assert plt_efficiency(track, tol=5.0) == 0.0
         assert plt_efficiency(track, tol=7.0) == 1.0
 
+    def test_partial_last_interval_not_counted_as_miss(self):
+        # 13 s at 5 s intervals holds two instants; t = 15 lies past the run.
+        cfg = ScenarioConfig(duration=13.0, sample_interval=5.0)
+        times = cfg.sample_times()
+        assert times == (5.0, 10.0)
+        assert all(t <= cfg.duration for t in times)
+        assert plt_efficiency(perfect_track(n=len(times))) == 1.0
+
+    def test_sample_times_never_pass_duration(self):
+        for duration, interval in ((13.0, 5.0), (14.9, 5.0), (1.0, 0.1), (0.3, 0.1), (500.0, 5.0)):
+            cfg = ScenarioConfig(duration=duration, sample_interval=interval)
+            times = cfg.sample_times()
+            assert times[-1] <= duration + 1e-9
+            assert times[-1] + interval > duration
+            assert times == tuple(interval * k for k in range(1, len(times) + 1))
+
+    def test_engine_partial_interval_perfect_track(self):
+        cfg = ScenarioConfig(
+            node_count=4,
+            malicious_count=1,
+            duration=13.0,
+            sigma_t=0.0,
+            auth_duration=0.0,
+            master_seed=5,
+            placements={
+                0: Position(200.0, 200.0),
+                1: Position(160.0, 200.0),
+                2: Position(240.0, 200.0),
+                3: Position(200.0, 260.0),
+            },
+            static_ids=frozenset({0, 1, 2, 3}),
+        )
+        track = run_scenario(cfg).tracks[3]
+        assert track.sample_times == (5.0, 10.0)
+        assert plt_efficiency(track) == 1.0
+
     def test_empty_schedule_rejected(self):
         track = TrackRecord(target=1, ref_pair=(2, 3))
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,121 @@ import pytest
 from sectrack.geometry import Position
 from sectrack.mobility import (
     MobilityKind,
+    MobilityState,
+    _fold,
     make_parallel_path,
     make_random_waypoint,
     step,
 )
+
+
+# The copy-on-step implementation that the in-place step replaced, kept as
+# an oracle: every float operation and random draw in the same order, but
+# each transition builds a new state with ``dataclasses.replace``.
+
+
+def _oracle_retarget(state, area, rng):
+    waypoint = Position(rng.uniform(0.0, area), rng.uniform(0.0, area))
+    speed = rng.uniform(state.v_min, state.v_max)
+    dx = waypoint[0] - state.position[0]
+    dy = waypoint[1] - state.position[1]
+    d = math.hypot(dx, dy)
+    if d == 0.0 or speed == 0.0:
+        return replace(state, waypoint=waypoint, velocity=(0.0, 0.0))
+    return replace(state, waypoint=waypoint, velocity=(speed * dx / d, speed * dy / d))
+
+
+def _oracle_step(state, dt, area, rng):
+    if state.kind is MobilityKind.PARALLEL_PATH:
+        x, sx = _fold(state.position[0] + state.velocity[0] * dt, 0.0, area)
+        y, sy = _fold(state.position[1] + state.velocity[1] * dt, 0.0, area)
+        return replace(
+            state,
+            position=Position(x, y),
+            velocity=(sx * state.velocity[0], sy * state.velocity[1]),
+        )
+    remaining = dt
+    while remaining > 0.0:
+        speed = state.speed
+        if speed == 0.0:
+            if state.v_max == 0.0:
+                return state
+            state = _oracle_retarget(state, area, rng)
+            continue
+        leg = math.hypot(
+            state.waypoint[0] - state.position[0], state.waypoint[1] - state.position[1]
+        )
+        travel = speed * remaining
+        if travel < leg:
+            f = travel / leg
+            pos = Position(
+                state.position[0] + f * (state.waypoint[0] - state.position[0]),
+                state.position[1] + f * (state.waypoint[1] - state.position[1]),
+            )
+            return replace(state, position=pos)
+        remaining -= leg / speed
+        state = _oracle_retarget(replace(state, position=state.waypoint), area, rng)
+    return state
+
+
+class TestInPlaceStepMatchesOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("dt", [1.0, 0.3])
+    def test_random_waypoint_exact(self, seed, dt):
+        area = 250.0
+        start = make_random_waypoint(
+            Position(20.0, 230.0), 0.5, 40.0, area, np.random.default_rng(seed)
+        )
+        expected = replace(start)
+        rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        state = start
+        for _ in range(500):
+            state = step(state, dt, area, rng)
+            expected = _oracle_step(expected, dt, area, oracle_rng)
+            assert state.position == expected.position
+            assert state.velocity == expected.velocity
+            assert state.waypoint == expected.waypoint
+        assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_parallel_path_exact(self, seed):
+        area = 400.0
+        draw = np.random.default_rng(seed)
+        start = make_parallel_path(
+            Position(draw.uniform(0, area), draw.uniform(0, area)),
+            draw.uniform(1.0, 30.0),
+            draw.uniform(0.0, 360.0),
+            0,
+            40.0,
+        )
+        expected = replace(start)
+        rng = np.random.default_rng(seed)
+        state = start
+        for _ in range(500):
+            state = step(state, 1.7, area, rng)
+            expected = _oracle_step(expected, 1.7, area, rng)
+            assert state.position == expected.position
+            assert state.velocity == expected.velocity
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            make_random_waypoint(Position(5, 5), 1.0, 9.0, 100.0, np.random.default_rng(3)),
+            make_random_waypoint(Position(5, 5), 0.0, 0.0, 100.0, np.random.default_rng(3)),
+            make_parallel_path(Position(5, 5), 3.0, 45.0, 0, 10.0),
+        ],
+        ids=["waypoint", "stationary", "parallel"],
+    )
+    def test_step_returns_the_same_object(self, state):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            assert step(state, 2.0, 100.0, rng) is state
+
+    def test_state_has_slots_and_no_dict(self):
+        state = MobilityState(position=Position(0.0, 0.0))
+        assert not hasattr(state, "__dict__")
+        with pytest.raises(AttributeError):
+            state.unknown = 1.0
 
 
 class TestRandomWaypoint:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sectrack import cipher
 from sectrack.cipher import SeedPair
 from sectrack.geometry import Position
 from sectrack.protocol import (
@@ -15,6 +16,7 @@ from sectrack.protocol import (
     SessionState,
     SessionStateError,
     Verdict,
+    _challenge_payloads,
     agree_seeds,
     complete_verification,
     detection_rate,
@@ -192,3 +194,14 @@ class TestMonteCarlo:
             monte_carlo_detection(AdversaryModel(), 0, 100)
         with pytest.raises(ValueError):
             monte_carlo_detection(AdversaryModel(), 1, 0)
+
+
+class TestChallengePayloads:
+    @pytest.mark.parametrize("j_max", range(1, 9))
+    def test_single_draw_equals_per_packet_draws(self, j_max):
+        session = _session(j_max=j_max)
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = [cipher.pad(ref.bytes(24 + 8 * (j % 3))) for j in range(j_max)]
+            assert _challenge_payloads(session, rng) == expected
+            assert rng.random() == ref.random()
