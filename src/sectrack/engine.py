@@ -78,7 +78,6 @@ class Friendliness(enum.Enum):
 class BeamState(enum.Enum):
     IDLE = "idle"
     SCANNING = "scanning"
-    AUTHENTICATING = "authenticating"
     TRACKING = "tracking"
 
 
@@ -90,12 +89,10 @@ class SectorBeam:
     beamwidth: float
     state: BeamState = BeamState.IDLE
     target_id: int | None = None
-    partner_id: int | None = None
 
     def release(self) -> None:
         self.state = BeamState.IDLE
         self.target_id = None
-        self.partner_id = None
 
 
 @dataclass
@@ -103,7 +100,7 @@ class FriendRecord:
     status: Friendliness = Friendliness.UNKNOWN
     since: float = 0.0
     consecutive_failures: int = 0
-    scanning_until: float | None = None
+    scanning: bool = False  # a scan owns this relation's recovery
 
 
 @dataclass
@@ -137,9 +134,20 @@ class NodeState:
         return max(1, sum(1 for b in self.sectors if b.state is BeamState.TRACKING))
 
 
-class TrackStatus(enum.Enum):
-    ACTIVE = "active"
-    WAITING = "waiting"  # scanning for a replacement reference or re-auth
+@dataclass
+class Suspension:
+    """Why and since when a track is off the air.
+
+    The surviving reference's beam scans and the switch away from
+    ``failed_ref`` is retried after SCAN_DURATION.  With ``reauth`` the
+    track instead waits for ``failed_ref`` to pass its re-authentication;
+    the flag clears if resuming on it fails, and assignment passes retry.
+    """
+
+    at: float
+    failed_ref: int
+    cause: SwitchCause
+    reauth: bool
 
 
 @dataclass
@@ -150,19 +158,16 @@ class Track:
     anchor: Position  # zone seed: last estimate, prediction, or detection fix
     anchor_time: float
     vel_est: tuple[float, float] = (0.0, 0.0)
-    status: TrackStatus = TrackStatus.ACTIVE
     resume_at: float = 0.0
-    waiting_on: int | None = None  # peer whose re-auth must complete
-    failed_ref: int | None = None
-    suspended_at: float = 0.0
-    scan_until: float = 0.0
-    pending_cause: SwitchCause | None = None
     consecutive_no_fix: int = 0
-    lost: bool = False
+    suspension: Suspension | None = None  # None exactly while the track is active
 
     @property
     def target(self) -> int:
         return self.record.target
+
+    def partner_of(self, ref: int) -> int:
+        return self.ref_b if self.ref_a == ref else self.ref_a
 
     def predict(self, t: float) -> Position:
         dt = t - self.anchor_time
@@ -265,8 +270,6 @@ class Engine:
                     placements[nid] if nid in placements else cfg.lane_start(lane),
                     speed,
                     cfg.heading,
-                    lane,
-                    cfg.lane_spacing,
                 )
                 lane += 1
             else:
@@ -352,8 +355,8 @@ class Engine:
             status = rec.status if rec else Friendliness.UNKNOWN
             if status is Friendliness.MALICIOUS:
                 continue
-            if rec and rec.scanning_until is not None:
-                continue  # a scan owns this relation's recovery
+            if rec and rec.scanning:
+                continue
             self._verify(peer_id, t)
 
     def _verify(self, peer_id: int, t: float) -> None:
@@ -369,7 +372,7 @@ class Engine:
                 self.log.friend_events.append(
                     FriendEvent(t, ch_node.id, peer_id, "out_of_range", 0.0)
                 )
-                self._suspend_tracks_using(peer_id, t, reauth_pending=False)
+                self._suspend_tracks_using(peer_id, t, reauth=False)
             return
 
         session = protocol.start_verification(
@@ -437,12 +440,12 @@ class Engine:
             rec.status = Friendliness.FRIENDLY
             rec.since = t
             rec.consecutive_failures = 0
-            rec.scanning_until = None
+            rec.scanning = False
             self.log.friend_events.append(
                 FriendEvent(t, self.ch_node.id, peer_id, "reauth_ok", 0.0)
             )
             if was_unknown_after_fail:
-                self._resume_tracks_waiting_on(peer_id, t)
+                self._resume_tracks_awaiting(peer_id, t)
             return
 
         if not payload["honest"]:
@@ -460,7 +463,7 @@ class Engine:
         scan = SCAN_DURATION + (
             CONSECUTIVE_SCAN_PENALTY if rec.consecutive_failures >= 2 else 0.0
         )
-        rec.scanning_until = t + scan
+        rec.scanning = True
         self.log.friend_events.append(
             FriendEvent(t, self.ch_node.id, peer_id, "reauth_fail", 0.0)
         )
@@ -468,13 +471,12 @@ class Engine:
             FriendEvent(t, self.ch_node.id, peer_id, "scan_start", scan)
         )
         self.queue.push(t + scan, EventKind.SCAN_DONE, {"peer": peer_id})
-        self._suspend_tracks_using(peer_id, t, reauth_pending=True)
+        self._suspend_tracks_using(peer_id, t, reauth=True)
 
     def _handle_scan_done(self, t: float, payload: dict) -> None:
         if "peer" in payload:
             peer_id = payload["peer"]
-            rec = self.ch_node.record_for(peer_id)
-            rec.scanning_until = None
+            self.ch_node.record_for(peer_id).scanning = False
             self.log.friend_events.append(
                 FriendEvent(t, self.ch_node.id, peer_id, "scan_end", 0.0)
             )
@@ -483,63 +485,36 @@ class Engine:
         # Track scan: retry the reference switch.
         target = payload["target"]
         track = self.tracks.get(target)
-        if (
-            track is None
-            or track.status is not TrackStatus.WAITING
-            or track.waiting_on is not None
-        ):
+        if track is None or track.suspension is None or track.suspension.reauth:
             return
         self._try_switch(track, t)
 
     # ------------------------------------------------------------------
     # friendliness fallout on tracks
 
-    def _suspend_tracks_using(self, peer_id: int, t: float, reauth_pending: bool) -> None:
+    def _suspend_tracks_using(self, peer_id: int, t: float, reauth: bool) -> None:
         for target in sorted(self.tracks):
             track = self.tracks[target]
-            if track.status is not TrackStatus.ACTIVE:
-                continue
-            if peer_id not in (track.ref_a, track.ref_b):
-                continue
-            survivor = track.ref_b if track.ref_a == peer_id else track.ref_a
-            replaced = self._find_replacement(track, survivor, t)
-            if replaced is not None:
-                self._apply_switch(track, peer_id, replaced, SwitchCause.FRIENDLINESS_LOST, t)
-                continue
-            track.status = TrackStatus.WAITING
-            track.suspended_at = t
-            track.scan_until = t + SCAN_DURATION
-            track.pending_cause = SwitchCause.FRIENDLINESS_LOST
-            track.waiting_on = peer_id if reauth_pending else None
-            track.failed_ref = peer_id
-            self._release_beams(track, only=peer_id)
-            beam = self.nodes[survivor].beam_for_target(track.target)
-            if beam is not None:
-                beam.state = BeamState.SCANNING
-            self.log.friend_events.append(
-                FriendEvent(t, survivor, track.target, "track_suspend", 0.0)
-            )
-            if not reauth_pending:
-                self.queue.push(
-                    t + SCAN_DURATION, EventKind.SCAN_DONE, {"target": track.target}
-                )
+            if track.suspension is None and peer_id in (track.ref_a, track.ref_b):
+                self.switch_reference(track, peer_id, SwitchCause.FRIENDLINESS_LOST, t, reauth)
 
     def _is_friendly(self, node_id: int) -> bool:
         rec = self.ch_node.friendliness.get(node_id)
         return rec is not None and rec.status is Friendliness.FRIENDLY
 
-    def _resume_tracks_waiting_on(self, peer_id: int, t: float) -> None:
+    def _resume_tracks_awaiting(self, peer_id: int, t: float) -> None:
         for target in sorted(self.tracks):
             track = self.tracks[target]
-            if track.status is not TrackStatus.WAITING or track.waiting_on != peer_id:
+            s = track.suspension
+            if s is None or not s.reauth or s.failed_ref != peer_id:
                 continue
-            survivor = track.ref_b if track.ref_a == peer_id else track.ref_a
+            survivor = track.partner_of(peer_id)
             if not self._is_friendly(survivor) or not self._claim_pair(
                 track, survivor, peer_id, t
             ):
-                track.waiting_on = None  # fall back to assignment-pass retries
+                s.reauth = False  # fall back to assignment-pass retries
                 continue
-            delay = t - track.suspended_at
+            delay = t - s.at
             self._record_switch(track, peer_id, peer_id, SwitchCause.FRIENDLINESS_LOST, t, delay)
             self._reactivate(track, t)
             self.log.friend_events.append(
@@ -563,9 +538,10 @@ class Engine:
         # window has clearly lapsed without recovery.
         for target in sorted(self.tracks):
             track = self.tracks[target]
-            if track.status is not TrackStatus.WAITING or t < track.scan_until:
+            s = track.suspension
+            if s is None or t < s.at + SCAN_DURATION:
                 continue
-            if track.waiting_on is not None and t - track.suspended_at < SCAN_DURATION:
+            if s.reauth and t - s.at < SCAN_DURATION:
                 continue
             self._try_switch(track, t)
 
@@ -574,10 +550,7 @@ class Engine:
         if t - self._last_activation < self.cfg.reauth_interval:
             return
         for target_id in self._detected_targets():
-            track = self.tracks.get(target_id)
-            if track is not None and track.status is TrackStatus.WAITING:
-                continue
-            if track is not None and not track.lost:
+            if target_id in self.tracks:
                 continue
             if self._activate_track(target_id, t):
                 self._last_activation = t
@@ -614,11 +587,12 @@ class Engine:
     def _activate_track(self, target_id: int, t: float) -> bool:
         target = self.nodes[target_id]
         fix = target.position  # detection fix at assignment time
+        old = self.tracks.get(target_id)
+        record = old.record if old else TrackRecord(target_id, sample_times=self.cfg.sample_times())
         contention_logged = False
         cands = self._reference_candidates(fix, exclude={target_id})
         for i, ref_a in enumerate(cands):
-            beam_a = self._free_facing_beam(ref_a, fix)
-            if beam_a is None:
+            if self._free_facing_beam(ref_a, fix) is None:
                 if not contention_logged:
                     self.log.switches.append(
                         SwitchEvent(t, target_id, ref_a.id, -1, SwitchCause.SECTOR_CONTENTION, 0.0)
@@ -630,48 +604,22 @@ class Engine:
                     continue
                 if point_line_distance(fix, ref_a.position, ref_b.position) < BASELINE_MARGIN:
                     continue
-                beam_b = self._free_facing_beam(ref_b, fix)
-                if beam_b is None:
-                    continue
-                old = self.tracks.get(target_id)
-                record = old.record if old else TrackRecord(
-                    target=target_id,
-                    ref_pair=(ref_a.id, ref_b.id),
-                    sample_times=self.cfg.sample_times(),
-                    primary_sector=beam_a.sector_index,
-                )
-                self.log.tracks[target_id] = record
                 track = Track(
                     record=record,
                     ref_a=ref_a.id,
                     ref_b=ref_b.id,
                     anchor=fix,
                     anchor_time=t,
+                    resume_at=t + self.cfg.auth_duration,
                 )
-                record.ref_pair = (ref_a.id, ref_b.id)
+                if not self._claim_pair(track, ref_a.id, ref_b.id, t):
+                    continue
+                self.log.tracks[target_id] = record
                 self.tracks[target_id] = track
-                self._claim_beam(beam_a, track, ref_b.id, fix, t)
-                self._claim_beam(beam_b, track, ref_a.id, fix, t)
-                track.resume_at = t + self.cfg.auth_duration
                 return True
         return False
 
-    def _claim_beam(
-        self, beam: SectorBeam, track: Track, partner: int, toward: Position, t: float
-    ) -> None:
-        node = self.nodes[beam.owner]
-        beam.state = BeamState.TRACKING
-        beam.target_id = track.target
-        beam.partner_id = partner
-        beam.boresight = bearing_deg(node.position, toward)
-        zone = self._form_zone(track, t)
-        track.record.zone = zone
-        beam.beamwidth = self._beamwidth(zone, node.position)
-
-    def _beamwidth(self, zone: TrackingZone, observer: Position) -> float:
-        return beamwidth_for_zone(zone, observer, self.cfg.sectors)
-
-    def _form_zone(self, track: Track, t: float) -> TrackingZone:
+    def _form_zone(self, track: Track) -> TrackingZone:
         return form_zone(
             self.nodes[track.ref_a].position,
             self.nodes[track.ref_b].position,
@@ -679,10 +627,15 @@ class Engine:
             self.cfg.v_max,
             self.cfg.sample_interval,
             self.zone_cfg,
-            ref_pair=(track.ref_a, track.ref_b),
-            target=track.target,
-            now=t,
         )
+
+    def _point(self, beam: SectorBeam, target: int, toward: Position, zone: TrackingZone) -> None:
+        """Claim ``beam`` for ``target``, aimed at ``toward`` and sized to cover ``zone``."""
+        observer = self.nodes[beam.owner].position
+        beam.state = BeamState.TRACKING
+        beam.target_id = target
+        beam.boresight = bearing_deg(observer, toward)
+        beam.beamwidth = beamwidth_for_zone(zone, observer, self.cfg.sectors)
 
     # ------------------------------------------------------------------
     # tracking
@@ -691,13 +644,14 @@ class Engine:
         self._check_invariants(t)
         for target in sorted(self.tracks):
             track = self.tracks[target]
-            if track.status is not TrackStatus.ACTIVE or t < track.resume_at:
+            if track.suspension is not None or t < track.resume_at:
                 continue
             self.tracking_tick(track, t)
 
     def _check_invariants(self, t: float) -> None:
-        # Sector exclusivity and friendly-references-only, enforced live so
-        # a violation fails loudly instead of skewing the metrics.
+        # Sector exclusivity, friendly-references-only and no beam left on a
+        # failed reference, enforced live so a violation fails loudly
+        # instead of skewing the metrics.
         for node in self.nodes.values():
             targets = [
                 b.target_id for b in node.sectors if b.state is BeamState.TRACKING
@@ -707,13 +661,20 @@ class Engine:
                     f"t={t}: node {node.id} has one target on two sectors"
                 )
         for track in self.tracks.values():
-            if track.status is TrackStatus.ACTIVE:
-                for rid in (track.ref_a, track.ref_b):
-                    if not self._is_friendly(rid):
-                        raise RuntimeError(
-                            f"t={t}: active track {track.target} uses "
-                            f"non-friendly reference {rid}"
-                        )
+            s = track.suspension
+            if s is not None:
+                if self.nodes[s.failed_ref].beam_for_target(track.target) is not None:
+                    raise RuntimeError(
+                        f"t={t}: failed reference {s.failed_ref} still holds a beam "
+                        f"for suspended track {track.target}"
+                    )
+                continue
+            for rid in (track.ref_a, track.ref_b):
+                if not self._is_friendly(rid):
+                    raise RuntimeError(
+                        f"t={t}: active track {track.target} uses "
+                        f"non-friendly reference {rid}"
+                    )
 
     def tracking_tick(self, track: Track, t: float) -> None:
         """One zone -> beams -> ranging -> triangulation -> update cycle."""
@@ -721,10 +682,6 @@ class Engine:
         prediction = track.predict(t)
 
         for ref_id in (track.ref_a, track.ref_b):
-            rec = self.ch_node.friendliness.get(ref_id)
-            if rec is None or rec.status is not Friendliness.FRIENDLY:
-                self._suspend_tracks_using(ref_id, t, reauth_pending=False)
-                return
             if distance(self.nodes[ref_id].position, prediction) > self.cfg.range_limit:
                 self.switch_reference(track, ref_id, SwitchCause.OUT_OF_RANGE, t)
                 return
@@ -734,15 +691,12 @@ class Engine:
         if point_line_distance(prediction, pos_a, pos_b) < BASELINE_MARGIN / 2.0:
             # Target drifting onto the pair baseline: re-pair before the
             # fix goes side-ambiguous.
-            far_ref = max(
-                (track.ref_a, track.ref_b),
-                key=lambda rid: (distance(self.nodes[rid].position, prediction), rid),
+            self.switch_reference(
+                track, self._far_ref(track, prediction), SwitchCause.OUT_OF_ZONE, t
             )
-            self.switch_reference(track, far_ref, SwitchCause.OUT_OF_ZONE, t)
             return
 
-        zone = self._form_zone(track, t)
-        track.record.zone = zone
+        zone = self._form_zone(track)
         if not self._reselect_sectors(track, zone, prediction, t):
             return
 
@@ -774,15 +728,10 @@ class Engine:
             track.anchor = prediction
             track.anchor_time = t
             if track.consecutive_no_fix >= 2:
-                track.lost = True
                 cause = (
                     SwitchCause.OUT_OF_RANGE if saw_out_of_range else SwitchCause.OUT_OF_ZONE
                 )
-                far_ref = max(
-                    (track.ref_a, track.ref_b),
-                    key=lambda rid: (distance(self.nodes[rid].position, prediction), rid),
-                )
-                self.switch_reference(track, far_ref, cause, t)
+                self.switch_reference(track, self._far_ref(track, prediction), cause, t)
             return
 
         if ambiguous:
@@ -796,7 +745,12 @@ class Engine:
         track.anchor = est
         track.anchor_time = t
         track.consecutive_no_fix = 0
-        track.lost = False
+
+    def _far_ref(self, track: Track, prediction: Position) -> int:
+        return max(
+            (track.ref_a, track.ref_b),
+            key=lambda rid: (distance(self.nodes[rid].position, prediction), rid),
+        )
 
     def _reselect_sectors(
         self, track: Track, zone: TrackingZone, prediction: Position, t: float
@@ -808,25 +762,17 @@ class Engine:
         """
         for ref_id in (track.ref_a, track.ref_b):
             node = self.nodes[ref_id]
-            bearing = bearing_deg(node.position, prediction)
-            want = sector_of(bearing, self.cfg.sectors)
-            current = node.beam_for_target(track.target)
-            if current is not None and current.sector_index == want:
-                current.boresight = bearing
-                current.beamwidth = self._beamwidth(zone, node.position)
-                continue
-            dest = node.sectors[want]
-            if dest.state is BeamState.TRACKING and dest.target_id != track.target:
-                self.switch_reference(track, ref_id, SwitchCause.SECTOR_CONTENTION, t)
-                return False
-            if current is not None:
-                current.release()
-            partner = track.ref_b if ref_id == track.ref_a else track.ref_a
-            dest.state = BeamState.TRACKING
-            dest.target_id = track.target
-            dest.partner_id = partner
-            dest.boresight = bearing
-            dest.beamwidth = self._beamwidth(zone, node.position)
+            want = sector_of(bearing_deg(node.position, prediction), self.cfg.sectors)
+            beam = node.beam_for_target(track.target)
+            if beam is None or beam.sector_index != want:
+                dest = node.sectors[want]
+                if dest.state is BeamState.TRACKING and dest.target_id != track.target:
+                    self.switch_reference(track, ref_id, SwitchCause.SECTOR_CONTENTION, t)
+                    return False
+                if beam is not None:
+                    beam.release()
+                beam = dest
+            self._point(beam, track.target, prediction, zone)
         return True
 
     def _range_exchange(self, ref: NodeState, target: NodeState, t: float) -> float | None:
@@ -871,8 +817,7 @@ class Engine:
             # Rebuild the zone around the prediction and retry once.
             track.anchor = prediction
             track.anchor_time = t
-            rezone = self._form_zone(track, t)
-            track.record.zone = rezone
+            rezone = self._form_zone(track)
             try:
                 return triangulate(
                     pos_a, ranges[0], pos_b, ranges[1], rezone, eps_gap=self.cfg.eps_gap
@@ -942,81 +887,69 @@ class Engine:
                 return False
             beams.append(beam)
         track.ref_a, track.ref_b = ref_a, ref_b
-        track.record.ref_pair = (ref_a, ref_b)
         track.anchor = self.nodes[track.target].position  # fresh detection fix
         track.anchor_time = t
-        zone = self._form_zone(track, t)
-        track.record.zone = zone
-        for beam, partner in zip(beams, (ref_b, ref_a)):
-            node = self.nodes[beam.owner]
-            beam.state = BeamState.TRACKING
-            beam.target_id = track.target
-            beam.partner_id = partner
-            beam.boresight = bearing_deg(node.position, track.anchor)
-            beam.beamwidth = self._beamwidth(zone, node.position)
+        zone = self._form_zone(track)
+        for beam in beams:
+            self._point(beam, track.target, track.anchor, zone)
         return True
 
-    def switch_reference(self, track: Track, failed_ref: int, cause: SwitchCause, t: float) -> None:
-        """Replace one reference of a track, or suspend it behind a scan."""
-        survivor = track.ref_b if track.ref_a == failed_ref else track.ref_a
-        replacement = self._find_replacement(track, survivor, t)
+    def switch_reference(
+        self, track: Track, failed_ref: int, cause: SwitchCause, t: float, reauth: bool = False
+    ) -> None:
+        """Replace one reference of a track, or suspend it behind a scan or re-auth."""
+        replacement = self._find_replacement(track, track.partner_of(failed_ref), t)
         if replacement is not None:
             self._apply_switch(track, failed_ref, replacement, cause, t)
             return
-        self._suspend_for_scan(track, failed_ref, survivor, cause, t)
+        self._suspend(track, failed_ref, cause, t, reauth)
 
-    def _suspend_for_scan(
-        self, track: Track, failed_ref: int, survivor: int, cause: SwitchCause, t: float
+    def _suspend(
+        self, track: Track, failed_ref: int, cause: SwitchCause, t: float, reauth: bool
     ) -> None:
-        # No candidate: the surviving beam scans, the switch retries later.
-        track.status = TrackStatus.WAITING
-        track.suspended_at = t
-        track.scan_until = t + SCAN_DURATION
-        track.pending_cause = cause
-        track.waiting_on = None
-        track.failed_ref = failed_ref
+        # The surviving beam scans; the switch retries after the scan, or
+        # on the failed reference's re-auth verdict.
+        track.suspension = Suspension(t, failed_ref, cause, reauth)
         self._release_beams(track, only=failed_ref)
+        survivor = track.partner_of(failed_ref)
         beam = self.nodes[survivor].beam_for_target(track.target)
         if beam is not None:
             beam.state = BeamState.SCANNING
         self.log.friend_events.append(
             FriendEvent(t, survivor, track.target, "track_suspend", 0.0)
         )
-        self.queue.push(t + SCAN_DURATION, EventKind.SCAN_DONE, {"target": track.target})
+        if not reauth:
+            self.queue.push(t + SCAN_DURATION, EventKind.SCAN_DONE, {"target": track.target})
 
     def _try_switch(self, track: Track, t: float) -> None:
         """Retry a pending switch after a scan or at an assignment pass."""
-        cause = track.pending_cause or SwitchCause.OUT_OF_RANGE
-        failed = track.failed_ref
-        if failed is None:
-            failed = track.waiting_on if track.waiting_on is not None else track.ref_b
-        survivor = track.ref_b if track.ref_a == failed else track.ref_a
+        s = track.suspension
+        survivor = track.partner_of(s.failed_ref)
         replacement = self._find_replacement(track, survivor, t)
         if replacement is not None:
-            self._apply_switch(track, failed, replacement, cause, t)
+            self._apply_switch(track, s.failed_ref, replacement, s.cause, t)
             return
-        if not self._is_friendly(survivor) or t - track.suspended_at >= 2.0 * SCAN_DURATION:
+        if not self._is_friendly(survivor) or t - s.at >= 2.0 * SCAN_DURATION:
             # Survivor lapsed too, or the outage has dragged on: release
             # everything and rebuild the pair from scratch (the old
             # references become eligible again once re-verified).
             self._release_beams(track)
             if self._activate_track(track.target, t):
-                delay = t - track.suspended_at + self.cfg.auth_duration
+                delay = t - s.at + self.cfg.auth_duration
                 new_track = self.tracks[track.target]
-                self._record_switch(new_track, failed, new_track.ref_a, cause, t, delay)
+                self._record_switch(new_track, s.failed_ref, new_track.ref_a, s.cause, t, delay)
 
     def _apply_switch(
         self, track: Track, old_ref: int, new_ref: int, cause: SwitchCause, t: float
     ) -> None:
-        survivor = track.ref_b if track.ref_a == old_ref else track.ref_a
         self._release_beams(track, only=old_ref)
-        if not self._claim_pair(track, survivor, new_ref, t):
+        if not self._claim_pair(track, track.partner_of(old_ref), new_ref, t):
             # claim raced the beam away; fall back to a scan, never re-enter
-            self._suspend_for_scan(track, old_ref, survivor, cause, t)
+            self._suspend(track, old_ref, cause, t, reauth=False)
             return
         delay = self.cfg.auth_duration
-        if track.status is TrackStatus.WAITING:
-            delay += t - track.suspended_at
+        if track.suspension is not None:
+            delay += t - track.suspension.at
         self._record_switch(track, old_ref, new_ref, cause, t, delay)
         self._reactivate(track, t)
 
@@ -1028,12 +961,9 @@ class Engine:
         track.record.switches.append(ev)
 
     def _reactivate(self, track: Track, t: float) -> None:
-        track.status = TrackStatus.ACTIVE
+        track.suspension = None
         track.resume_at = t + self.cfg.auth_duration
-        track.waiting_on = None
-        track.pending_cause = None
         track.consecutive_no_fix = 0
-        track.lost = False
 
     def _release_beams(self, track: Track, only: int | None = None) -> None:
         for rid in (track.ref_a, track.ref_b):

@@ -90,9 +90,6 @@ class TrackingZone:
 
     center: Position
     radius: float
-    ref_pair: tuple[int, int] = (-1, -1)
-    target: int = -1
-    formed_at: float = 0.0
 
     def contains(self, p: Position) -> bool:
         return distance(self.center, p) <= self.radius
@@ -105,10 +102,6 @@ def form_zone(
     v_max: float,
     dt: float,
     cfg: ZoneConfig = ZoneConfig(),
-    *,
-    ref_pair: tuple[int, int] = (-1, -1),
-    target: int = -1,
-    now: float = 0.0,
 ) -> TrackingZone:
     """Zone around the last estimate, sized by the reference-pair geometry.
 
@@ -124,9 +117,7 @@ def form_zone(
         raise DegenerateGeometryError("target estimate coincides with both references")
     radius = cfg.alpha * (d12 / d_avg) * d_avg + v_max * dt
     radius = min(max(radius, cfg.rho_min), cfg.rho_max)
-    return TrackingZone(
-        center=last_est, radius=radius, ref_pair=ref_pair, target=target, formed_at=now
-    )
+    return TrackingZone(center=last_est, radius=radius)
 
 
 def beamwidth_for_zone(zone: TrackingZone, observer: Position, sectors: int = 4) -> float:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
-from sectrack.geometry import Position, TrackingZone, distance
+from sectrack.geometry import Position
 
 
 class SwitchCause(enum.Enum):
@@ -64,12 +64,9 @@ class TrackRecord:
     """Lifetime record of one target's track."""
 
     target: int
-    ref_pair: tuple[int, int]
-    zone: TrackingZone | None = None
     estimates: list[EstimateSample] = field(default_factory=list)
     switches: list[SwitchEvent] = field(default_factory=list)
     sample_times: tuple[float, ...] = ()
-    primary_sector: int = -1
 
     def add_estimate(self, sample: EstimateSample) -> None:
         if self.estimates and sample.t <= self.estimates[-1].t:
@@ -95,27 +92,7 @@ class MetricsLog:
     efficiency_rows: list[tuple[int, int, float]] = field(default_factory=list)
 
 
-TruthLookup = Callable[[float], Position]
-
-
-def _truth_at(truth: TruthLookup | Iterable[tuple[float, float, float]] | None, t: float):
-    if truth is None:
-        return None
-    if callable(truth):
-        return truth(t)
-    rows = sorted(truth)
-    if not rows:
-        return None
-    # nearest-sample lookup; engine logs truth at the estimate instants
-    best = min(rows, key=lambda r: abs(r[0] - t))
-    return Position(best[1], best[2])
-
-
-def plt_efficiency(
-    track: TrackRecord,
-    truth: TruthLookup | Iterable[tuple[float, float, float]] | None = None,
-    tol: float = 5.0,
-) -> float:
+def plt_efficiency(track: TrackRecord, tol: float = 5.0) -> float:
     """Fraction of scheduled sample instants with a fix within tol meters.
 
     Instants with no estimate (not yet assigned, suspended, lost) count
@@ -130,26 +107,18 @@ def plt_efficiency(
     hits = 0
     for t in track.sample_times:
         s = by_time.get(t)
-        if s is None:
-            continue
-        ref = _truth_at(truth, t)
-        err = s.err if ref is None else distance(s.est, ref)
-        if err <= tol:
+        if s is not None and s.err <= tol:
             hits += 1
     return hits / len(track.sample_times)
 
 
-def mean_tracking_error(
-    track: TrackRecord,
-    truth: TruthLookup | Iterable[tuple[float, float, float]] | None = None,
-) -> float:
+def mean_tracking_error(track: TrackRecord) -> float:
     """Mean Euclidean error of the track's estimates against the truth."""
     if not track.estimates:
         raise ValueError("track has no estimates")
     total = 0.0
     for s in track.estimates:
-        ref = _truth_at(truth, s.t)
-        total += s.err if ref is None else distance(s.est, ref)
+        total += s.err
     return total / len(track.estimates)
 
 

@@ -32,9 +32,6 @@ class MobilityState:
     v_min: float = 0.0
     v_max: float = 0.0
     kind: MobilityKind = MobilityKind.RANDOM_WAYPOINT
-    lane_index: int = 0
-    lane_spacing: float = 0.0
-    heading: float = 0.0
 
     @property
     def speed(self) -> float:
@@ -56,13 +53,7 @@ def make_random_waypoint(
     return _retarget(state, area, rng)
 
 
-def make_parallel_path(
-    position: Position,
-    speed: float,
-    heading: float,
-    lane_index: int,
-    lane_spacing: float,
-) -> MobilityState:
+def make_parallel_path(position: Position, speed: float, heading: float) -> MobilityState:
     vx = speed * math.cos(math.radians(heading))
     vy = speed * math.sin(math.radians(heading))
     return MobilityState(
@@ -72,9 +63,6 @@ def make_parallel_path(
         v_min=speed,
         v_max=speed,
         kind=MobilityKind.PARALLEL_PATH,
-        lane_index=lane_index,
-        lane_spacing=lane_spacing,
-        heading=heading,
     )
 
 

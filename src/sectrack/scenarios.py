@@ -19,21 +19,11 @@ from sectrack.cipher import derive_stream_seed
 from sectrack.config import ScenarioConfig, echo_config
 from sectrack.engine import run_scenario
 from sectrack.geometry import Position
-from sectrack.metrics import (
-    MetricsLog,
-    mean_tracking_error,
-    plt_efficiency,
-    switching_overhead,
-    write_csv,
-)
+from sectrack.metrics import MetricsLog, plt_efficiency, switching_overhead, write_csv
 
 DETECTION_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DETECTION_KEY_COUNTS = (1, 2, 4, 8)
 ENERGY_BEAM_SWEEP = range(1, 9)
-
-
-def child_seed(master: int, label: str, index: int) -> int:
-    return derive_stream_seed(master, label, index)
 
 
 def run_detection(cfg: ScenarioConfig) -> MetricsLog:
@@ -46,9 +36,8 @@ def run_detection(cfg: ScenarioConfig) -> MetricsLog:
                 adv = protocol.AdversaryModel(p_wh, p_i, p_r)
                 for n in DETECTION_KEY_COUNTS:
                     closed = protocol.detection_rate(adv, n)
-                    mc = protocol.monte_carlo_detection(
-                        adv, n, cfg.trials, child_seed(cfg.master_seed, "detection", row)
-                    )
+                    seed = derive_stream_seed(cfg.master_seed, "detection", row)
+                    mc = protocol.monte_carlo_detection(adv, n, cfg.trials, seed)
                     log.detection_rows.append((p_wh, p_i, p_r, n, closed, mc))
                     row += 1
     return log
@@ -114,7 +103,7 @@ def run_multi_target(cfg: ScenarioConfig) -> MetricsLog:
     """
     out = MetricsLog(master_seed=cfg.master_seed)
     for rep in range(cfg.seeds):
-        seed = child_seed(cfg.master_seed, "multi-target", rep)
+        seed = derive_stream_seed(cfg.master_seed, "multi-target", rep)
         log = run_scenario(multi_target_config(cfg, seed))
         for target in sorted(log.tracks):
             record = log.tracks[target]
@@ -123,7 +112,7 @@ def run_multi_target(cfg: ScenarioConfig) -> MetricsLog:
     return out
 
 
-def trajectory_config(cfg: ScenarioConfig, master_seed: int | None = None) -> ScenarioConfig:
+def trajectory_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Four targets sweeping the field on parallel lanes between two static
     reference rows; slow march so one field crossing fills the full run."""
     placements: dict[int, Position] = {0: Position(200.0, 200.0)}
@@ -136,7 +125,6 @@ def trajectory_config(cfg: ScenarioConfig, master_seed: int | None = None) -> Sc
         cfg,
         node_count=13,
         malicious_count=4,
-        master_seed=cfg.master_seed if master_seed is None else master_seed,
         model="parallel_path",
         heading=0.0,
         v_min=0.8,
@@ -171,7 +159,7 @@ def run_switching(cfg: ScenarioConfig) -> tuple[MetricsLog, list[tuple[float, in
     summary: list[tuple[float, int, float]] = []
     representative: MetricsLog | None = None
     for rep in range(cfg.seeds):
-        seed = child_seed(cfg.master_seed, "switching", rep)
+        seed = derive_stream_seed(cfg.master_seed, "switching", rep)
         for v in SWITCHING_SPEEDS:
             log = run_scenario(switching_config(cfg, v, seed))
             summary.append((v, rep, switching_overhead(log)))
@@ -252,43 +240,3 @@ def run(scenario_name: str, cfg: ScenarioConfig, out_dir: str | Path) -> int:
     except OSError as exc:
         print(f"output failure in scenario '{scenario_name}': {exc}")
         return 1
-
-
-def mean_error_by_target(log: MetricsLog) -> dict[int, float]:
-    """Per-target mean tracking error of one run."""
-    return {
-        target: mean_tracking_error(rec)
-        for target, rec in sorted(log.tracks.items())
-        if rec.estimates
-    }
-
-
-def calibrate_sigma(
-    cfg: ScenarioConfig,
-    target_error: float = 2.0,
-    seeds: int = 20,
-    lo: float = 1.0e-9,
-    hi: float = 2.0e-8,
-    rounds: int = 8,
-) -> float:
-    """Bisect the timestamp noise so the trajectory-scenario mean error
-    lands at target_error meters; maintenance helper behind the default
-    sigma_t, not part of any run path."""
-
-    def mean_err(sigma: float) -> float:
-        errs = []
-        for rep in range(seeds):
-            seed = child_seed(cfg.master_seed, "calibrate", rep)
-            run_cfg = dataclasses.replace(
-                trajectory_config(cfg, master_seed=seed), sigma_t=sigma
-            )
-            errs.extend(mean_error_by_target(run_scenario(run_cfg)).values())
-        return sum(errs) / len(errs)
-
-    for _ in range(rounds):
-        mid = math.sqrt(lo * hi)
-        if mean_err(mid) < target_error:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)

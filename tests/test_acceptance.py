@@ -13,10 +13,16 @@ Criteria summary (tolerances pinned here, not deferred):
   8  received energy strictly decreasing for m = 1..8, exact
   9  friendliness timers: single failure >= 20 s, consecutive >= 30 s
   10 `run all` twice with one seed gives byte-identical output trees
+
+The reduced `run all` of criterion 10 is also held to the SHA-256 digests
+pinned in bench/golden.json, so a refactor that changes any output byte
+fails here.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 import time
@@ -254,16 +260,21 @@ def test_criterion_9_friendliness_timers():
     )
 
 
+# Criterion 10's reduced `run all`; bench/golden.json pins its tree as
+# "run-all-reduced".
+RUN_ALL_REDUCED = {
+    "sim.duration": "100",
+    "sim.seeds": "4",
+    "sim.trials": "4000",
+    "sim.node_count": "25",
+    "sim.malicious_count": "3",
+    "sim.master_seed": "7",
+}
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+
+
 def test_criterion_10_run_all_determinism(tmp_path):
-    overrides = {
-        "sim.duration": "100",
-        "sim.seeds": "4",
-        "sim.trials": "4000",
-        "sim.node_count": "25",
-        "sim.malicious_count": "3",
-        "sim.master_seed": "7",
-    }
-    cfg = parse_config(None, overrides)
+    cfg = parse_config(None, RUN_ALL_REDUCED)
     assert run_named("all", cfg, tmp_path / "a") == 0
     assert run_named("all", cfg, tmp_path / "b") == 0
 
@@ -276,3 +287,15 @@ def test_criterion_10_run_all_determinism(tmp_path):
     ta, tb = tree(tmp_path / "a"), tree(tmp_path / "b")
     ok = ta == tb and len(ta) > 10
     report(10, ok, f"`run all` twice: {len(ta)} files byte-identical")
+
+
+def test_run_all_reduced_matches_golden_digests(tmp_path):
+    pinned = json.loads(GOLDEN.read_text())["run-all-reduced"]
+    assert run_named("all", parse_config(None, RUN_ALL_REDUCED), tmp_path) == 0
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file()
+    }
+    assert len(pinned) == 44
+    assert digests == pinned

@@ -8,6 +8,7 @@ import pytest
 
 from sectrack.config import ScenarioConfig
 from sectrack.engine import (
+    BeamState,
     Engine,
     EventKind,
     EventQueue,
@@ -17,6 +18,7 @@ from sectrack.engine import (
 )
 from sectrack.geometry import Position
 from sectrack.metrics import SwitchCause, plt_efficiency, write_csv
+from sectrack.scenarios import friendliness_config
 
 
 def quiet_cluster(**overrides) -> ScenarioConfig:
@@ -243,6 +245,18 @@ class TestFriendlinessTimers:
         assert resumes[0].t - fails[0].t >= 20.0
         # consecutive failures: resumption at least 30 s after the second
         assert resumes[1].t - fails[2].t >= 30.0
+
+    def test_reauth_failure_suspends_track_behind_the_scan(self):
+        # Reference 2 fails its re-auth near t = 27 and no spare reference
+        # exists, so at t = 40 the track still waits out the 20 s scan.
+        eng = Engine(friendliness_config(ScenarioConfig(master_seed=1, duration=40.0)))
+        eng.run()
+        s = eng.tracks[3].suspension
+        assert s is not None
+        assert (s.failed_ref, s.cause, s.reauth) == (2, SwitchCause.FRIENDLINESS_LOST, True)
+        assert 25.0 <= s.at < 40.0 - 1.0
+        assert eng.nodes[2].beam_for_target(3) is None
+        assert eng.nodes[1].beam_for_target(3).state is BeamState.SCANNING
 
     def test_scan_window_blocks_early_reinstatement(self):
         cfg = quiet_cluster(duration=120.0, inject_failures=((25.0, 2),))

@@ -25,7 +25,7 @@ from sectrack.engine import run_scenario
 
 
 def perfect_track(n=100, interval=5.0, err=0.0) -> TrackRecord:
-    track = TrackRecord(target=1, ref_pair=(2, 3), sample_times=tuple(interval * k for k in range(1, n + 1)))
+    track = TrackRecord(target=1, sample_times=tuple(interval * k for k in range(1, n + 1)))
     for k in range(1, n + 1):
         t = interval * k
         p = Position(float(k), 0.0)
@@ -84,14 +84,9 @@ class TestEfficiency:
         assert plt_efficiency(track) == 1.0
 
     def test_empty_schedule_rejected(self):
-        track = TrackRecord(target=1, ref_pair=(2, 3))
+        track = TrackRecord(target=1)
         with pytest.raises(ValueError):
             plt_efficiency(track)
-
-    def test_external_truth_lookup(self):
-        track = perfect_track(n=10)
-        shifted = [(s.t, s.truth.x + 10.0, s.truth.y) for s in track.estimates]
-        assert plt_efficiency(track, truth=shifted, tol=5.0) == 0.0
 
 
 class TestMeanError:
@@ -100,7 +95,7 @@ class TestMeanError:
 
     def test_requires_estimates(self):
         with pytest.raises(ValueError):
-            mean_tracking_error(TrackRecord(target=1, ref_pair=(2, 3)))
+            mean_tracking_error(TrackRecord(target=1))
 
     def test_doubling_noise_increases_error(self):
         cfg = ScenarioConfig(master_seed=77)

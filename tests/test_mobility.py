@@ -95,8 +95,6 @@ class TestInPlaceStepMatchesOracle:
             Position(draw.uniform(0, area), draw.uniform(0, area)),
             draw.uniform(1.0, 30.0),
             draw.uniform(0.0, 360.0),
-            0,
-            40.0,
         )
         expected = replace(start)
         rng = np.random.default_rng(seed)
@@ -112,7 +110,7 @@ class TestInPlaceStepMatchesOracle:
         [
             make_random_waypoint(Position(5, 5), 1.0, 9.0, 100.0, np.random.default_rng(3)),
             make_random_waypoint(Position(5, 5), 0.0, 0.0, 100.0, np.random.default_rng(3)),
-            make_parallel_path(Position(5, 5), 3.0, 45.0, 0, 10.0),
+            make_parallel_path(Position(5, 5), 3.0, 45.0),
         ],
         ids=["waypoint", "stationary", "parallel"],
     )
@@ -176,7 +174,7 @@ class TestParallelPath:
         area = 400.0
         spacing = 40.0
         lanes = [
-            make_parallel_path(Position(40.0, 140.0 + k * spacing), 6.0, 0.0, k, spacing)
+            make_parallel_path(Position(40.0, 140.0 + k * spacing), 6.0, 0.0)
             for k in range(4)
         ]
         for _ in range(500):
@@ -187,13 +185,12 @@ class TestParallelPath:
                     assert abs(ys[j] - ys[i]) == pytest.approx((j - i) * spacing)
 
     def test_reflection_at_boundary(self):
-        state = make_parallel_path(Position(390.0, 200.0), 10.0, 0.0, 0, 0.0)
+        state = make_parallel_path(Position(390.0, 200.0), 10.0, 0.0)
         moved = step(state, 2.0, 400.0, np.random.default_rng(0))
         assert moved.position.x == pytest.approx(390.0)  # 390 -> 400 -> 390
         assert moved.velocity[0] == pytest.approx(-10.0)
         assert moved.position.y == 200.0
 
     def test_kind_tag(self):
-        s = make_parallel_path(Position(0, 0), 1.0, 90.0, 2, 30.0)
+        s = make_parallel_path(Position(0, 0), 1.0, 90.0)
         assert s.kind is MobilityKind.PARALLEL_PATH
-        assert s.lane_index == 2

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from sectrack.config import ScenarioConfig
-from sectrack.engine import Engine, TrackStatus
+from sectrack.cipher import derive_stream_seed
+from sectrack.engine import Engine
 from sectrack.metrics import switching_overhead
 from sectrack.scenarios import (
-    child_seed,
     multi_target_config,
     run_detection,
     run_energy,
@@ -25,12 +25,10 @@ class TestMultiTargetConstruct:
         cfg = multi_target_config(ScenarioConfig(master_seed=1), master_seed=41)
         eng = Engine(cfg)
         eng.run()
-        active = [tr for tr in eng.tracks.values() if tr.status is TrackStatus.ACTIVE]
+        active = [tr for tr in eng.tracks.values() if tr.suspension is None]
         with_primary = [tr for tr in active if 1 in (tr.ref_a, tr.ref_b)]
         assert len(with_primary) >= 3  # primary appears in several pairs at once
-        partners = {
-            tr.ref_b if tr.ref_a == 1 else tr.ref_a for tr in with_primary
-        }
+        partners = {tr.partner_of(1) for tr in with_primary}
         assert len(partners) == len(with_primary)  # distinct partner per pair
         sectors = [
             eng.nodes[1].beam_for_target(tr.target).sector_index for tr in with_primary
@@ -87,7 +85,7 @@ class TestClosedFormScenarios:
         assert [m for m, _ in log.energy_rows] == list(range(1, 9))
 
     def test_child_seeds_differ_by_label_and_index(self):
-        a = child_seed(7, "multi-target", 0)
-        b = child_seed(7, "multi-target", 1)
-        c = child_seed(7, "switching", 0)
+        a = derive_stream_seed(7, "multi-target", 0)
+        b = derive_stream_seed(7, "multi-target", 1)
+        c = derive_stream_seed(7, "switching", 0)
         assert len({a, b, c}) == 3
