@@ -1,7 +1,7 @@
 """Track four targets marching on parallel lanes for a full run.
 
-Prints the per-target error summary and drops the trajectory CSV next to
-this script for plotting elsewhere.
+Prints the per-target error summary and drops the trajectory CSVs in
+``out_trajectory/`` under the working directory for plotting elsewhere.
 """
 
 from pathlib import Path
@@ -26,6 +26,6 @@ for ev in log.switches[:5]:
 if len(log.switches) > 5:
     print(f"  ... and {len(log.switches) - 5} more")
 
-out = Path(__file__).parent / "out_trajectory"
+out = Path.cwd() / "out_trajectory"
 write_csv(log, out)
 print(f"\nCSV files written under {out}/")

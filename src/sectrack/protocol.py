@@ -252,6 +252,10 @@ def detection_rate(adv: AdversaryModel, n: int) -> float:
     return 1.0 - (1.0 - detection_single(adv)) ** n
 
 
+MC_BLOCK_TRIALS = 4096
+"""Trials per block of :func:`monte_carlo_detection`; bounds its memory."""
+
+
 def monte_carlo_detection(
     adv: AdversaryModel,
     n: int,
@@ -262,6 +266,12 @@ def monte_carlo_detection(
 
     Each trial runs n key checks; a check detects when none of the three
     replays succeeds, and the trial detects when at least one check does.
+
+    The uniforms come ``MC_BLOCK_TRIALS`` trials at a time into one reused
+    buffer.  Each double is one generator output, so the draws, the result
+    and the Generator's final state equal those of one
+    ``rng.random((trials, n, 3)) < [p_wh, p_i, p_r]`` draw, while memory
+    does not grow with ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -272,7 +282,23 @@ def monte_carlo_detection(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    probs = np.array([adv.p_wh, adv.p_i, adv.p_r])
-    replays = rng.random((trials, n, 3)) < probs
-    detected_per_key = ~replays.any(axis=2)
-    return float(detected_per_key.any(axis=1).mean())
+    block = min(trials, MC_BLOCK_TRIALS)
+    draws = np.empty((block * n, 3))
+    caught = np.empty(block * n, dtype=bool)
+    failed = np.empty(block * n, dtype=bool)
+    detected = 0
+    for start in range(0, trials, block):
+        rows = min(block, trials - start) * n
+        u, key_caught, replay_failed = draws[:rows], caught[:rows], failed[:rows]
+        rng.random(out=u)
+        # A replay fails exactly when not (u < p), i.e. u >= p.
+        np.greater_equal(u[:, 0], adv.p_wh, out=key_caught)
+        for col, p in ((1, adv.p_i), (2, adv.p_r)):
+            np.greater_equal(u[:, col], p, out=replay_failed)
+            key_caught &= replay_failed
+        keys = key_caught.reshape(-1, n)
+        hit = keys[:, 0].copy()
+        for k in range(1, n):
+            hit |= keys[:, k]
+        detected += int(np.count_nonzero(hit))
+    return detected / trials

@@ -11,6 +11,7 @@ from sectrack import cipher
 from sectrack.cipher import SeedPair
 from sectrack.geometry import Position
 from sectrack.protocol import (
+    MC_BLOCK_TRIALS,
     AdversaryModel,
     OutOfRangeError,
     SessionState,
@@ -194,6 +195,47 @@ class TestMonteCarlo:
             monte_carlo_detection(AdversaryModel(), 0, 100)
         with pytest.raises(ValueError):
             monte_carlo_detection(AdversaryModel(), 1, 0)
+
+
+def oracle_monte_carlo(adv, n, trials, rng):
+    """The sampler as one whole-array draw: the reference for blocked draws."""
+    replays = rng.random((trials, n, 3)) < np.array([adv.p_wh, adv.p_i, adv.p_r])
+    return float((~replays.any(axis=2)).any(axis=1).mean())
+
+
+B = MC_BLOCK_TRIALS
+CORNERS = [AdversaryModel(a, b, c) for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)]
+INTERIOR = [
+    AdversaryModel(0.25, 0.5, 0.75),
+    AdversaryModel(0.5, 0.5, 0.5),
+    AdversaryModel(0.75, 0.0, 0.25),
+    AdversaryModel(0.25, 1.0, 0.5),
+]
+
+
+class TestMonteCarloBlocks:
+    @pytest.mark.parametrize("trials", [1, B - 1, B, B + 1, 3 * B + 17])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_matches_whole_array_draw(self, n, trials):
+        for i, adv in enumerate(CORNERS + INTERIOR):
+            seed = 1000 * n + i
+            expected = oracle_monte_carlo(adv, n, trials, np.random.default_rng(seed))
+            got = monte_carlo_detection(adv, n, trials, seed)
+            assert repr(got) == repr(expected), (adv, n, trials)
+
+    def test_draw_equal_to_probability_is_a_failed_replay(self):
+        # u < p is False when u == p, so the lone key check detects.
+        adv = AdversaryModel(*np.random.default_rng(11).random(3))
+        assert oracle_monte_carlo(adv, 1, 1, np.random.default_rng(11)) == 1.0
+        assert monte_carlo_detection(adv, 1, 1, 11) == 1.0
+
+    @pytest.mark.parametrize("trials", [1, B + 1, 3 * B + 17])
+    def test_leaves_generator_in_same_state(self, trials):
+        adv = AdversaryModel(0.25, 0.5, 0.75)
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        got = monte_carlo_detection(adv, 3, trials, ours)
+        assert repr(got) == repr(oracle_monte_carlo(adv, 3, trials, theirs))
+        assert ours.random() == theirs.random()
 
 
 class TestChallengePayloads:
