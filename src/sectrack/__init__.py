@@ -47,12 +47,10 @@ from sectrack.mobility import MobilityState, step
 from sectrack.protocol import (
     AdversaryModel,
     Verdict,
-    VerificationSession,
     complete_verification,
     detection_rate,
     detection_single,
     monte_carlo_detection,
-    start_verification,
 )
 
 __version__ = "0.1.0"

@@ -92,7 +92,6 @@ class ScenarioConfig:
             alpha=self.alpha,
             rho_min=self.rho_min,
             rho_max=self.rho_max,
-            eps_gap=self.eps_gap,
         )
 
     def sample_times(self) -> tuple[float, ...]:
@@ -135,8 +134,6 @@ SECTIONS: dict[str, tuple[str, ...]] = {
     "zone": ("alpha", "rho_min", "rho_max", "eps_gap"),
     "mobility": ("v_min", "v_max", "model", "lane_spacing", "heading"),
 }
-
-_KEY_TO_SECTION = {key: sec for sec, keys in SECTIONS.items() for key in keys}
 
 _INT_KEYS = {
     "node_count",
@@ -307,10 +304,3 @@ def echo_config(cfg: ScenarioConfig, path: str | Path) -> Path:
     out = Path(path)
     out.write_text("\n".join(lines))
     return out
-
-
-def config_fields(cfg: ScenarioConfig) -> dict[str, Any]:
-    """File-visible fields only, for logs and CSV provenance."""
-    return {
-        key: getattr(cfg, key) for keys in SECTIONS.values() for key in keys
-    }

@@ -23,7 +23,7 @@ import numpy as np
 
 from sectrack import channel as ch
 from sectrack import cipher, mobility, protocol
-from sectrack.config import ScenarioConfig, config_fields, validate
+from sectrack.config import ScenarioConfig, validate
 from sectrack.geometry import (
     DegenerateGeometryError,
     MeasurementError,
@@ -231,11 +231,7 @@ class Engine:
         self._pending_failures = sorted(cfg.inject_failures)
         self._consumed_failures = [False] * len(self._pending_failures)
 
-        self.log = MetricsLog(
-            config=config_fields(cfg),
-            master_seed=seed,
-            sample_times=cfg.sample_times(),
-        )
+        self.log = MetricsLog()
 
     # ------------------------------------------------------------------
     # setup
@@ -375,10 +371,6 @@ class Engine:
                 self._suspend_tracks_using(peer_id, t, reauth=False)
             return
 
-        session = protocol.start_verification(
-            ch_node, peer, t, range_limit=self.cfg.range_limit, j_max=self.cfg.j_max
-        )
-
         # Preamble: two ping/echo exchanges so each side holds an RTT sample.
         legs = []
         t_cursor = t
@@ -398,30 +390,26 @@ class Engine:
 
         # Location seed from the positions carried in the preamble; both
         # sides quantize the initiator->candidate distance and bearing.
-        dist_q = distance(ch_node.position, peer.position)
-        bear_q = bearing_deg(ch_node.position, peer.position)
-        init_seeds = cipher.SeedPair.from_measurements(
-            dist_q, bear_q, rtt_initiator, self.cfg.rtt_bucket
-        )
-        cand_seeds = cipher.SeedPair.from_measurements(
-            dist_q, bear_q, rtt_candidate, self.cfg.rtt_bucket
-        )
+        bear = bearing_deg(ch_node.position, peer.position)
+        init_seeds = cipher.SeedPair.from_measurements(d, bear, rtt_initiator, self.cfg.rtt_bucket)
+        cand_seeds = cipher.SeedPair.from_measurements(d, bear, rtt_candidate, self.cfg.rtt_bucket)
 
         honest = peer.role is not Role.MALICIOUS_TARGET
         if honest and self._forced_failure_pending(peer_id, t):
             # Injected failure: the candidate derives an off-by-one RTT seed.
             cand_seeds = cipher.SeedPair(cand_seeds.loc_seed, cand_seeds.rtt_seed + 1)
 
-        protocol.agree_seeds(session, init_seeds, cand_seeds)
         challenge_time = 2.0 * self.cfg.j_max * d / self.chan.c
         decided_at = t_cursor + challenge_time + self.cfg.auth_duration
         verdict = protocol.complete_verification(
-            session,
+            init_seeds,
+            cand_seeds,
+            ch_node.id,
+            j_max=self.cfg.j_max,
             candidate_honest=honest,
             adversary=self.adversary,
             n_keys=self.cfg.n_keys,
-            rng_seed=self.rng_protocol,
-            now=decided_at,
+            rng=self.rng_protocol,
         )
         self.queue.push(
             decided_at,

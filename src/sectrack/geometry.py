@@ -81,7 +81,6 @@ class ZoneConfig:
     alpha: float = 0.5
     rho_min: float = 5.0
     rho_max: float = 150.0
-    eps_gap: float = 2.0
 
 
 @dataclass(frozen=True)

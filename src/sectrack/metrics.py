@@ -78,9 +78,6 @@ class TrackRecord:
 class MetricsLog:
     """Complete observation record of one run (or one composed experiment)."""
 
-    config: dict[str, Any] = field(default_factory=dict)
-    master_seed: int = 0
-    sample_times: tuple[float, ...] = ()
     tracks: dict[int, TrackRecord] = field(default_factory=dict)
     switches: list[SwitchEvent] = field(default_factory=list)
     friend_events: list[FriendEvent] = field(default_factory=list)

@@ -1,8 +1,9 @@
-"""Strict friendliness verification: handshake sessions and detection math.
+"""Strict friendliness verification: one screening call and detection math.
 
-A verification session walks preamble -> seed agreement -> challenge
-packets -> verdict.  Honest candidates run the real chained cipher with
-their own seeds; a candidate whose seeds or identity disagree fails the
+``complete_verification`` goes in one call from the seed pairs that the
+initiator and the candidate derived in the preamble (location and
+round-trip time) to a verdict.  Honest candidates run the real chained
+cipher with their own seeds; a candidate whose seeds disagree fails the
 challenge.  Adversarial candidates are abstracted by three replay
 probabilities, and the closed-form detection probability they induce is
 cross-checked by a Monte Carlo sampler that simulates the replay draws
@@ -12,38 +13,12 @@ directly.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from sectrack import cipher
 from sectrack.cipher import EnsemblePacket, SeedPair
-
-
-class OutOfRangeError(ValueError):
-    """Candidate is beyond the initiator's radio range."""
-
-
-class SessionStateError(RuntimeError):
-    """Operation applied to a session in the wrong state."""
-
-
-class SessionState(enum.Enum):
-    PREAMBLE_SENT = "preamble_sent"
-    SEEDS_AGREED = "seeds_agreed"
-    CHALLENGING = "challenging"
-    VERIFIED = "verified"
-    REJECTED = "rejected"
-
-
-_STATE_ORDER = {
-    SessionState.PREAMBLE_SENT: 0,
-    SessionState.SEEDS_AGREED: 1,
-    SessionState.CHALLENGING: 2,
-    SessionState.VERIFIED: 3,
-    SessionState.REJECTED: 3,
-}
 
 
 class Verdict(enum.Enum):
@@ -71,82 +46,12 @@ class AdversaryModel:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-@dataclass
-class VerificationSession:
-    """One initiator/candidate screening exchange."""
-
-    initiator_id: int
-    candidate_id: int
-    j_max: int = 4
-    state: SessionState = SessionState.PREAMBLE_SENT
-    initiator_seeds: SeedPair | None = None
-    candidate_seeds: SeedPair | None = None
-    tx_id_at_candidate: int | None = None
-    challenge_index: int = 0
-    started_at: float = 0.0
-    decided_at: float | None = None
-
-    def _advance(self, new: SessionState) -> None:
-        if _STATE_ORDER[new] < _STATE_ORDER[self.state]:
-            raise SessionStateError(f"cannot move from {self.state} back to {new}")
-        self.state = new
-
-
-def start_verification(
-    initiator,
-    candidate,
-    now: float,
-    *,
-    range_limit: float = 250.0,
-    j_max: int = 4,
-) -> VerificationSession:
-    """Open a session and send the preamble.
-
-    `initiator` and `candidate` need `id` and `position` attributes; the
-    candidate must be within radio range.
-    """
-    ix, iy = initiator.position
-    cx, cy = candidate.position
-    if math.hypot(cx - ix, cy - iy) > range_limit:
-        raise OutOfRangeError(
-            f"candidate {candidate.id} beyond {range_limit} m of initiator {initiator.id}"
-        )
-    return VerificationSession(
-        initiator_id=initiator.id,
-        candidate_id=candidate.id,
-        j_max=j_max,
-        started_at=now,
-    )
-
-
-def agree_seeds(
-    session: VerificationSession,
-    initiator_seeds: SeedPair,
-    candidate_seeds: SeedPair,
-    tx_id_at_candidate: int | None = None,
-) -> VerificationSession:
-    """Record the seeds each side derived from the preamble exchange.
-
-    Honest peers derive identical pairs; any disagreement surfaces later
-    as a failed challenge, never as an error here.
-    """
-    if session.state != SessionState.PREAMBLE_SENT:
-        raise SessionStateError("seeds can only be agreed after the preamble")
-    session.initiator_seeds = initiator_seeds
-    session.candidate_seeds = candidate_seeds
-    session.tx_id_at_candidate = (
-        session.initiator_id if tx_id_at_candidate is None else tx_id_at_candidate
-    )
-    session._advance(SessionState.SEEDS_AGREED)
-    return session
-
-
-def _challenge_payloads(session: VerificationSession, rng: np.random.Generator) -> list[bytes]:
+def _challenge_payloads(j_max: int, rng: np.random.Generator) -> list[bytes]:
     # 24, 32 or 40 random bytes per packet, 1..2 blocks after padding.  Each
     # size is a whole number of the generator's 32-bit words, so one draw of
     # the total, sliced, equals the per-packet draws and leaves the stream
     # in the same state.
-    sizes = [24 + 8 * (j % 3) for j in range(session.j_max)]
+    sizes = [24 + 8 * (j % 3) for j in range(j_max)]
     blob = rng.bytes(sum(sizes))
     payloads = []
     end = 0
@@ -156,29 +61,30 @@ def _challenge_payloads(session: VerificationSession, rng: np.random.Generator) 
     return payloads
 
 
-def _run_honest_challenge(session: VerificationSession, rng: np.random.Generator) -> bool:
+def _run_honest_challenge(
+    initiator_seeds: SeedPair,
+    candidate_seeds: SeedPair,
+    initiator_id: int,
+    j_max: int,
+    rng: np.random.Generator,
+) -> bool:
     """Drive the real cipher on both ends; True iff every packet validates."""
-    assert session.initiator_seeds is not None and session.candidate_seeds is not None
-    payloads = _challenge_payloads(session, rng)
+    payloads = _challenge_payloads(j_max, rng)
 
-    tx_id = session.initiator_id
     tx_key = cipher.derive_initial_key(
-        session.initiator_seeds, tx_id, cipher.first_plain_segment(payloads[0])
+        initiator_seeds, initiator_id, cipher.first_plain_segment(payloads[0])
     )
-    tx_keys = cipher.key_chain(tx_key, tx_id, session.j_max)
+    tx_keys = cipher.key_chain(tx_key, initiator_id, j_max)
     cipher_packets = [
         cipher.encrypt_packet(EnsemblePacket(p, index=j + 1), tx_keys[j])
         for j, p in enumerate(payloads)
     ]
 
-    # Receiver side: reconstruct from its own seeds and the claimed identity.
-    rx_id = tx_id if session.tx_id_at_candidate is None else session.tx_id_at_candidate
-    rx_key = cipher.reconstruct_initial_key(cipher_packets[0], session.candidate_seeds, rx_id)
-    rx_keys = cipher.key_chain(rx_key, rx_id, session.j_max)
+    # Receiver side: reconstruct from its own seeds and the initiator's id.
+    rx_key = cipher.reconstruct_initial_key(cipher_packets[0], candidate_seeds, initiator_id)
+    rx_keys = cipher.key_chain(rx_key, initiator_id, j_max)
 
     for j, cpkt in enumerate(cipher_packets):
-        session.challenge_index = j + 1
-        session._advance(SessionState.CHALLENGING)
         recovered = cipher.decrypt_packet(cpkt, rx_keys[j])
         if cipher.xor_fold_digest(recovered.payload) != cipher.xor_fold_digest(payloads[j]):
             return False
@@ -204,39 +110,29 @@ def _sample_evasion(
 
 
 def complete_verification(
-    session: VerificationSession,
+    initiator_seeds: SeedPair,
+    candidate_seeds: SeedPair,
+    initiator_id: int,
     *,
+    j_max: int,
     candidate_honest: bool,
-    adversary: AdversaryModel | None = None,
-    n_keys: int = 1,
-    rng_seed: int | np.random.Generator = 0,
-    now: float | None = None,
+    adversary: AdversaryModel,
+    n_keys: int,
+    rng: np.random.Generator,
 ) -> Verdict:
-    """Run the challenge phase to a verdict.
+    """Screen one candidate and return its verdict.
 
-    Honest candidates exercise the real cipher chain; they pass exactly
-    when their seeds and the claimed identity match the initiator's.
-    Dishonest candidates are screened by n independent key checks whose
-    detection odds follow the replay model.
+    Honest candidates exercise the real cipher chain of ``j_max`` packets
+    keyed by ``initiator_id``; they pass exactly when their seeds match
+    the initiator's.  Dishonest candidates are screened by ``n_keys``
+    independent key checks whose detection odds follow the replay model.
     """
-    if session.state != SessionState.SEEDS_AGREED:
-        raise SessionStateError("challenge requires agreed seeds")
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
-
     if candidate_honest:
-        passed = _run_honest_challenge(session, rng)
+        passed = _run_honest_challenge(initiator_seeds, candidate_seeds, initiator_id, j_max, rng)
     else:
         if n_keys < 1:
             raise ValueError("n_keys must be at least 1")
-        adv = adversary if adversary is not None else AdversaryModel()
-        passed = _sample_evasion(adv, n_keys, rng)
-
-    session._advance(SessionState.VERIFIED if passed else SessionState.REJECTED)
-    session.decided_at = session.started_at if now is None else now
+        passed = _sample_evasion(adversary, n_keys, rng)
     return Verdict.FRIENDLY if passed else Verdict.MALICIOUS
 
 

@@ -28,7 +28,7 @@ ENERGY_BEAM_SWEEP = range(1, 9)
 
 def run_detection(cfg: ScenarioConfig) -> MetricsLog:
     """Closed-form detection rates against the Monte Carlo sampler."""
-    log = MetricsLog(master_seed=cfg.master_seed)
+    log = MetricsLog()
     row = 0
     for p_wh in DETECTION_GRID:
         for p_i in DETECTION_GRID:
@@ -44,7 +44,7 @@ def run_detection(cfg: ScenarioConfig) -> MetricsLog:
 
 
 def run_energy(cfg: ScenarioConfig) -> MetricsLog:
-    log = MetricsLog(master_seed=cfg.master_seed)
+    log = MetricsLog()
     chan = cfg.channel_config()
     for m in ENERGY_BEAM_SWEEP:
         log.energy_rows.append((m, received_energy(chan, m)))
@@ -101,7 +101,7 @@ def run_multi_target(cfg: ScenarioConfig) -> MetricsLog:
     Target 10+k starts in the primary reference's sector k, so rows are
     keyed by that construction (1-based sector index).
     """
-    out = MetricsLog(master_seed=cfg.master_seed)
+    out = MetricsLog()
     for rep in range(cfg.seeds):
         seed = derive_stream_seed(cfg.master_seed, "multi-target", rep)
         log = run_scenario(multi_target_config(cfg, seed))

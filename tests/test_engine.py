@@ -138,6 +138,15 @@ class TestRunScenario:
         eng.run()
         assert eng.ch_node.friendliness[3].status is Friendliness.MALICIOUS
 
+    def test_peer_beyond_range_never_screened(self):
+        # Static reference 2 sits ~255 m from the cluster head at (200, 200).
+        cfg = quiet_cluster(duration=100.0)
+        cfg.placements[2] = Position(20.0, 20.0)
+        eng = Engine(cfg)
+        log = eng.run()
+        assert {ev.peer for ev in log.verdicts} == {1, 3}
+        assert 2 not in eng.ch_node.friendliness
+
 
 class TestTrackingBehavior:
     def test_sector_crossing_keeps_track(self):

@@ -1,4 +1,4 @@
-"""Verification sessions, detection formulas, and the Monte Carlo cross-check."""
+"""Verification verdicts, detection formulas, and the Monte Carlo cross-check."""
 
 from __future__ import annotations
 
@@ -9,109 +9,65 @@ import pytest
 
 from sectrack import cipher
 from sectrack.cipher import SeedPair
-from sectrack.geometry import Position
 from sectrack.protocol import (
     MC_BLOCK_TRIALS,
     AdversaryModel,
-    OutOfRangeError,
-    SessionState,
-    SessionStateError,
     Verdict,
     _challenge_payloads,
-    agree_seeds,
     complete_verification,
     detection_rate,
     detection_single,
     monte_carlo_detection,
-    start_verification,
 )
 
 
-class Stub:
-    def __init__(self, id, position):
-        self.id = id
-        self.position = Position(*position)
+SEEDS = SeedPair.from_measurements(50.0, 53.0, 4e-7)
 
 
-def _session(j_max=4):
-    s = start_verification(Stub(1, (0, 0)), Stub(2, (30, 40)), now=0.0, j_max=j_max)
-    return agree_seeds(
-        s,
-        SeedPair.from_measurements(50.0, 53.0, 4e-7),
-        SeedPair.from_measurements(50.0, 53.0, 4e-7),
+def _verify(
+    initiator_seeds=SEEDS,
+    candidate_seeds=SEEDS,
+    *,
+    honest=True,
+    j_max=4,
+    adversary=AdversaryModel(),
+    n_keys=1,
+    rng=0,
+):
+    return complete_verification(
+        initiator_seeds,
+        candidate_seeds,
+        1,
+        j_max=j_max,
+        candidate_honest=honest,
+        adversary=adversary,
+        n_keys=n_keys,
+        rng=np.random.default_rng(rng),
     )
 
 
 class TestSessions:
-    def test_in_range_starts_preamble(self):
-        s = start_verification(Stub(1, (0, 0)), Stub(2, (100, 0)), now=3.0)
-        assert s.state is SessionState.PREAMBLE_SENT
-        assert s.started_at == 3.0
-
-    def test_beyond_range_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            start_verification(Stub(1, (0, 0)), Stub(2, (300, 0)), now=0.0, range_limit=250.0)
-
-    def test_sessions_are_independent(self):
-        a = start_verification(Stub(1, (0, 0)), Stub(2, (10, 0)), now=0.0)
-        b = start_verification(Stub(1, (0, 0)), Stub(3, (0, 10)), now=0.0)
-        agree_seeds(a, SeedPair(0, 0), SeedPair(0, 0))
-        assert a.state is SessionState.SEEDS_AGREED
-        assert b.state is SessionState.PREAMBLE_SENT
-
-    def test_challenge_requires_agreed_seeds(self):
-        s = start_verification(Stub(1, (0, 0)), Stub(2, (10, 0)), now=0.0)
-        with pytest.raises(SessionStateError):
-            complete_verification(s, candidate_honest=True)
+    """One call per screening, from agreed seeds to a verdict."""
 
     def test_honest_matching_seeds_verified(self):
-        s = _session()
-        assert complete_verification(s, candidate_honest=True, now=1.0) is Verdict.FRIENDLY
-        assert s.state is SessionState.VERIFIED
-        assert s.decided_at == 1.0
+        assert _verify() is Verdict.FRIENDLY
 
     def test_honest_wrong_rtt_bucket_rejected(self):
-        s = start_verification(Stub(1, (0, 0)), Stub(2, (30, 40)), now=0.0)
-        good = SeedPair.from_measurements(50.0, 53.0, 4e-7)
-        agree_seeds(s, good, SeedPair(good.loc_seed, good.rtt_seed + 1))
-        assert complete_verification(s, candidate_honest=True) is Verdict.MALICIOUS
-        assert s.state is SessionState.REJECTED
+        bad = SeedPair(SEEDS.loc_seed, SEEDS.rtt_seed + 1)
+        assert _verify(SEEDS, bad) is Verdict.MALICIOUS
 
     def test_honest_wrong_location_seed_rejected(self):
-        s = start_verification(Stub(1, (0, 0)), Stub(2, (30, 40)), now=0.0)
-        good = SeedPair.from_measurements(50.0, 53.0, 4e-7)
         bad = SeedPair.from_measurements(51.9, 53.0, 4e-7)
-        agree_seeds(s, good, bad)
-        assert complete_verification(s, candidate_honest=True) is Verdict.MALICIOUS
-
-    def test_honest_wrong_claimed_id_rejected(self):
-        s = start_verification(Stub(1, (0, 0)), Stub(2, (30, 40)), now=0.0)
-        seeds = SeedPair.from_measurements(50.0, 53.0, 4e-7)
-        agree_seeds(s, seeds, seeds, tx_id_at_candidate=999)
-        assert complete_verification(s, candidate_honest=True) is Verdict.MALICIOUS
+        assert _verify(SEEDS, bad) is Verdict.MALICIOUS
 
     def test_dishonest_zero_replays_always_malicious(self):
         for seed in range(20):
-            s = _session()
-            v = complete_verification(
-                s,
-                candidate_honest=False,
-                adversary=AdversaryModel(0, 0, 0),
-                n_keys=4,
-                rng_seed=seed,
-            )
+            v = _verify(honest=False, adversary=AdversaryModel(0, 0, 0), n_keys=4, rng=seed)
             assert v is Verdict.MALICIOUS
 
     def test_dishonest_certain_replays_never_detected(self):
         for seed in range(20):
-            s = _session()
-            v = complete_verification(
-                s,
-                candidate_honest=False,
-                adversary=AdversaryModel(1, 1, 1),
-                n_keys=5,
-                rng_seed=seed,
-            )
+            v = _verify(honest=False, adversary=AdversaryModel(1, 1, 1), n_keys=5, rng=seed)
             assert v is Verdict.FRIENDLY
 
     def test_dishonest_verdict_rate_tracks_closed_form(self):
@@ -121,13 +77,14 @@ class TestSessions:
         hits = 0
         trials = 4000
         for _ in range(trials):
-            s = _session(j_max=1)
-            if complete_verification(
-                s, candidate_honest=False, adversary=adv, n_keys=n, rng_seed=rng
-            ) is Verdict.MALICIOUS:
-                hits += 1
+            v = _verify(honest=False, j_max=1, adversary=adv, n_keys=n, rng=rng)
+            hits += v is Verdict.MALICIOUS
         p = detection_rate(adv, n)
         assert abs(hits / trials - p) < 4 * math.sqrt(p * (1 - p) / trials)
+
+    def test_dishonest_rejects_zero_keys(self):
+        with pytest.raises(ValueError):
+            _verify(honest=False, n_keys=0)
 
 
 class TestAdversaryModel:
@@ -241,9 +198,8 @@ class TestMonteCarloBlocks:
 class TestChallengePayloads:
     @pytest.mark.parametrize("j_max", range(1, 9))
     def test_single_draw_equals_per_packet_draws(self, j_max):
-        session = _session(j_max=j_max)
         for seed in range(20):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             expected = [cipher.pad(ref.bytes(24 + 8 * (j % 3))) for j in range(j_max)]
-            assert _challenge_payloads(session, rng) == expected
+            assert _challenge_payloads(j_max, rng) == expected
             assert rng.random() == ref.random()
