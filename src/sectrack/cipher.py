@@ -101,8 +101,8 @@ def derive_stream_seed(master: int, label: str, index: int = 0) -> int:
 class SeedPair:
     """Shared key seeds both handshake parties derive independently.
 
-    loc_seed packs the quantized distance (whole meters, bits [0,32)) and
-    bearing (whole degrees, bits [32,64)); rtt_seed is the round-trip time
+    loc_seed packs the quantized distance (whole meters, bits [32,64)) and
+    bearing (whole degrees, bits [0,32)); rtt_seed is the round-trip time
     in whole buckets (default 10 microseconds per bucket).
     """
 

@@ -146,6 +146,9 @@ _INT_KEYS = {
     "n_keys",
 }
 _STR_KEYS = {"scenario", "model"}
+_FLOAT_KEYS = tuple(
+    key for keys in SECTIONS.values() for key in keys if key not in _INT_KEYS | _STR_KEYS
+)
 
 
 def _coerce(key: str, raw: str, where: str) -> Any:
@@ -209,6 +212,11 @@ def parse_config(
 
 
 def validate(cfg: ScenarioConfig) -> None:
+    # nan passes every ordered comparison below, and inf runs forever.
+    for name in _FLOAT_KEYS:
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"'{name}' must be a finite number, got {getattr(cfg, name)}")
+
     def positive(name: str) -> None:
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"'{name}' must be positive, got {getattr(cfg, name)}")
@@ -270,7 +278,10 @@ def validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("'auth_duration' and 'master_seed' must be nonnegative")
     if cfg.model == "parallel_path":
         _check_lane_starts(cfg)
-    cfg.channel_config()  # re-runs the channel invariants (beta bound etc.)
+    try:
+        cfg.channel_config()  # re-runs the channel invariants (beta bound etc.)
+    except ValueError as exc:
+        raise ConfigError(f"[channel] {exc}") from None
 
 
 def _check_lane_starts(cfg: ScenarioConfig) -> None:

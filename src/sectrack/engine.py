@@ -376,11 +376,10 @@ class Engine:
         t_cursor = t
         endpoints = [(ch_node, peer), (peer, ch_node), (peer, ch_node), (ch_node, peer)]
         for tx, rx in endpoints:
+            # Never None: propagate repeats the range test passed above.
             arrival = ch.propagate(
                 tx.position, rx.position, t_cursor, self.chan, self.rng_channel
             )
-            if arrival is None:
-                return  # moved out of range mid-exchange; retry next sweep
             legs.append(arrival - t_cursor)
             t_cursor = arrival
         # timestamp noise can push a near-field RTT below zero; both sides

@@ -8,6 +8,7 @@ from sectrack.channel import MAX_BEAMS
 from sectrack.cli import main
 from sectrack.config import (
     ConfigError,
+    SECTIONS,
     ScenarioConfig,
     echo_config,
     parse_config,
@@ -108,6 +109,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'lane_spacing' must be nonnegative, got -5"):
             parse_config(None, {"mobility.lane_spacing": "-5"})
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_floats_rejected(self, raw):
+        for section, keys in SECTIONS.items():
+            for key in keys:
+                if isinstance(getattr(ScenarioConfig(), key), float):
+                    with pytest.raises(ConfigError, match=f"'{key}' must be a finite number"):
+                        parse_config(None, {f"{section}.{key}": raw})
+
+    @pytest.mark.parametrize("key", ["range_limit", "sigma_t", "e_total", "beta"])
+    def test_channel_invariant_is_a_config_error_naming_the_key(self, key):
+        with pytest.raises(ConfigError, match=rf"\[channel\] {key} must"):
+            parse_config(None, {f"channel.{key}": "-5"})
+
     def test_lane_start_outside_area_rejected(self):
         # 4 lanes centred on y = 200: the outer ones sit 1.5 spacings off centre.
         ok = {"mobility.model": "parallel_path", "mobility.lane_spacing": str(200 / 1.5)}
@@ -198,6 +212,16 @@ class TestCli:
 
     def test_bad_set_flag(self, tmp_path):
         assert main(["--set", "nonsense", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "override", ["sim.duration=nan", "sim.duration=inf", "channel.range_limit=-5"]
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, override):
+        key = override.split("=")[0].split(".")[1]
+        assert main(["--scenario", "switching", "--out", str(tmp_path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not any(tmp_path.iterdir())
 
     def test_set_flag_validation_error(self, tmp_path):
         assert main([

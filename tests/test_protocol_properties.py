@@ -1,4 +1,8 @@
-"""Property test: blocked Monte Carlo draws equal one whole-array draw."""
+"""Property test: blocked Monte Carlo draws equal one whole-array draw.
+
+The sampler must also leave a passed Generator where the whole-array draw
+does, including on the adversaries whose outcome is certain without draws.
+"""
 
 from __future__ import annotations
 
@@ -28,7 +32,11 @@ probability = st.one_of(st.sampled_from(DETECTION_GRID), st.floats(0.0, 1.0))
 @example(p_wh=0.0, p_i=0.0, p_r=0.0, n=1, trials=1, seed=0)
 @example(p_wh=1.0, p_i=1.0, p_r=1.0, n=10, trials=3 * MC_BLOCK_TRIALS, seed=1)
 @example(p_wh=0.25, p_i=0.5, p_r=0.75, n=8, trials=MC_BLOCK_TRIALS + 1, seed=2)
+@example(p_wh=0.25, p_i=1.0, p_r=0.0, n=3, trials=2 * MC_BLOCK_TRIALS + 5, seed=3)
+@example(p_wh=0.0, p_i=0.0, p_r=0.0, n=7, trials=MC_BLOCK_TRIALS + 9, seed=4)
 def test_blocked_draws_equal_whole_array_draw(p_wh, p_i, p_r, n, trials, seed):
     adv = AdversaryModel(p_wh, p_i, p_r)
-    expected = oracle_monte_carlo(adv, n, trials, np.random.default_rng(seed))
-    assert repr(monte_carlo_detection(adv, n, trials, seed)) == repr(expected)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = oracle_monte_carlo(adv, n, trials, theirs)
+    assert repr(monte_carlo_detection(adv, n, trials, ours)) == repr(expected)
+    assert ours.random() == theirs.random()
