@@ -34,6 +34,9 @@ class ChannelConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.c == 0:
             raise ValueError("propagation speed must be positive")
+        if self.e_total == 0:
+            # Ranging jitter grows as 1/sqrt(received energy).
+            raise ValueError("e_total must be positive: a beam without energy cannot range")
         if self.beta * (MAX_BEAMS - 1) >= 1.0:
             raise ValueError(f"beta must be below {1.0 / (MAX_BEAMS - 1):.4f}")
 

@@ -135,20 +135,11 @@ SECTIONS: dict[str, tuple[str, ...]] = {
     "mobility": ("v_min", "v_max", "model", "lane_spacing", "heading"),
 }
 
-_INT_KEYS = {
-    "node_count",
-    "malicious_count",
-    "sectors",
-    "master_seed",
-    "seeds",
-    "trials",
-    "j_max",
-    "n_keys",
-}
-_STR_KEYS = {"scenario", "model"}
-_FLOAT_KEYS = tuple(
-    key for keys in SECTIONS.values() for key in keys if key not in _INT_KEYS | _STR_KEYS
-)
+_DEFAULTS = ScenarioConfig()
+_FILE_KEYS = tuple(key for keys in SECTIONS.values() for key in keys)
+_INT_KEYS = {key for key in _FILE_KEYS if type(getattr(_DEFAULTS, key)) is int}
+_STR_KEYS = {key for key in _FILE_KEYS if type(getattr(_DEFAULTS, key)) is str}
+_FLOAT_KEYS = tuple(key for key in _FILE_KEYS if type(getattr(_DEFAULTS, key)) is float)
 
 
 def _coerce(key: str, raw: str, where: str) -> Any:
@@ -267,6 +258,13 @@ def validate(cfg: ScenarioConfig) -> None:
     if cfg.rho_min > cfg.rho_max:
         raise ConfigError(
             f"'rho_min' ({cfg.rho_min}) must not exceed 'rho_max' ({cfg.rho_max})"
+        )
+    if cfg.sample_interval > cfg.duration:
+        # Efficiency is the share of the tracking instants k * sample_interval
+        # inside the run, so a run needs at least one.
+        raise ConfigError(
+            f"'sample_interval' ({cfg.sample_interval}) must not exceed "
+            f"'duration' ({cfg.duration})"
         )
     if cfg.scenario not in SCENARIO_NAMES:
         raise ConfigError(

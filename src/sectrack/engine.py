@@ -212,7 +212,6 @@ class Engine:
         self.chan = cfg.channel_config()
         self.zone_cfg = cfg.zone_config()
         self.now = 0.0
-        self._last_mobility = 0.0
         self.queue = EventQueue()
         self.adversary = protocol.AdversaryModel(cfg.p_wh, cfg.p_i, cfg.p_r)
 
@@ -306,7 +305,7 @@ class Engine:
                 raise RuntimeError("event queue delivered an event in the past")
             self.now = max(self.now, t)
             if kind is EventKind.MOBILITY:
-                self._handle_mobility(t)
+                self._handle_mobility()
             elif kind is EventKind.SWEEP:
                 self.reauthentication_tick(t)
             elif kind is EventKind.ASSIGN:
@@ -322,15 +321,12 @@ class Engine:
     # ------------------------------------------------------------------
     # mobility
 
-    def _handle_mobility(self, t: float) -> None:
-        dt = t - self._last_mobility
-        if dt <= 0:
-            return
+    def _handle_mobility(self) -> None:
+        # MOBILITY events fall at k * MOBILITY_DT for k >= 1: each step spans one.
         for node in self.nodes.values():
             node.mobility = mobility.step(
-                node.mobility, dt, self.cfg.area_side, self.node_rngs[node.id]
+                node.mobility, MOBILITY_DT, self.cfg.area_side, self.node_rngs[node.id]
             )
-        self._last_mobility = t
 
     # ------------------------------------------------------------------
     # verification sweeps and verdicts
@@ -470,9 +466,8 @@ class Engine:
             self._verify(peer_id, t)
             return
         # Track scan: retry the reference switch.
-        target = payload["target"]
-        track = self.tracks.get(target)
-        if track is None or track.suspension is None or track.suspension.reauth:
+        track = self.tracks[payload["target"]]  # tracks are never removed
+        if track.suspension is None or track.suspension.reauth:
             return
         self._try_switch(track, t)
 
@@ -563,7 +558,7 @@ class Engine:
         beam = node.sectors[sec]
         return beam if beam.state is BeamState.IDLE else None
 
-    def _pair_in_use(self, a: int, b: int, for_target: int | None = None) -> bool:
+    def _pair_in_use(self, a: int, b: int, for_target: int) -> bool:
         pair = frozenset((a, b))
         return any(
             frozenset((tr.ref_a, tr.ref_b)) == pair
@@ -773,11 +768,10 @@ class Engine:
         if toa_b is None:
             return None
         tod_b = toa_b + PROCESSING_DELAY
+        # Never None: the echo leg spans the same distance as the ping.
         toa_a = ch.propagate(
             target.position, ref.position, tod_b, self.chan, self.rng_channel, sigma_t=sigma
         )
-        if toa_a is None:
-            return None
         try:
             return range_from_timestamps(
                 RangeMeasurement(tod_a=0.0, toa_b=toa_b, tod_b=tod_b, toa_a=toa_a),
@@ -819,9 +813,8 @@ class Engine:
     ) -> Position:
         """Prefer the candidate whose bearing matches the claimed sector."""
         node = self.nodes[track.ref_a]
+        # Never None: _reselect_sectors pointed this beam in the same tick.
         beam = node.beam_for_target(track.target)
-        if beam is None:
-            return chosen
         points = circle_intersections(
             node.position, ranges[0], self.nodes[track.ref_b].position, ranges[1]
         )
@@ -929,11 +922,10 @@ class Engine:
     def _apply_switch(
         self, track: Track, old_ref: int, new_ref: int, cause: SwitchCause, t: float
     ) -> None:
+        # Always succeeds: _find_replacement has just found a beam facing
+        # track.predict(t) on both nodes, and releasing old_ref's touches neither.
         self._release_beams(track, only=old_ref)
-        if not self._claim_pair(track, track.partner_of(old_ref), new_ref, t):
-            # claim raced the beam away; fall back to a scan, never re-enter
-            self._suspend(track, old_ref, cause, t, reauth=False)
-            return
+        self._claim_pair(track, track.partner_of(old_ref), new_ref, t)
         delay = self.cfg.auth_duration
         if track.suspension is not None:
             delay += t - track.suspension.at

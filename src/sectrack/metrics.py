@@ -119,10 +119,9 @@ def mean_tracking_error(track: TrackRecord) -> float:
     return total / len(track.estimates)
 
 
-def switching_overhead(log: MetricsLog, window: tuple[float, float] | None = None) -> float:
+def switching_overhead(log: MetricsLog) -> float:
     """Seconds of scan plus authentication delay spent on switches."""
-    lo, hi = window if window is not None else (float("-inf"), float("inf"))
-    return sum(ev.delay_s for ev in log.switches if lo <= ev.t <= hi)
+    return sum(ev.delay_s for ev in log.switches)
 
 
 def _fmt(v: Any) -> str:

@@ -156,7 +156,7 @@ def monte_carlo_detection(
     adv: AdversaryModel,
     n: int,
     trials: int,
-    rng_seed: int | np.random.Generator = 0,
+    rng_seed: int = 0,
 ) -> float:
     """Empirical detection rate from simulating the replay draws directly.
 
@@ -164,41 +164,27 @@ def monte_carlo_detection(
     replays succeeds, and the trial detects when at least one check does.
 
     The uniforms come ``MC_BLOCK_TRIALS`` trials at a time into one reused
-    buffer.  Each double is one generator output, so the draws, the result
-    and the Generator's final state equal those of one
-    ``rng.random((trials, n, 3)) < [p_wh, p_i, p_r]`` draw, while memory
-    does not grow with ``trials``.
+    buffer.  Each double is one generator output, so the draws and the
+    result equal those of one ``rng.random((trials, n, 3)) < [p_wh, p_i,
+    p_r]`` draw, while memory does not grow with ``trials``.
 
     Some outcomes are certain and return without drawing.  The uniforms
     lie in [0, 1): with any probability at 1.0 that replay always
     succeeds, no check ever detects, and the rate is 0.0; with all three
     at 0.0 every replay fails, every trial detects, and the rate is 1.0.
-    The stream then advances past the ``trials * n * 3`` skipped outputs,
-    which PCG64 and PCG64DXSM do exactly; a Generator on any other bit
-    generator raises ``TypeError``, whatever the adversary.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
-    bits = rng.bit_generator
-    # Only these advance by whole draws; Philox steps blocks of four outputs.
-    # Named here, not at import: numpy loads np.random lazily.
-    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise TypeError(f"{type(bits).__name__} cannot skip draws; use PCG64 or PCG64DXSM")
+    # For an int this is default_rng(rng_seed); unlike default_rng, it
+    # refuses a Generator with TypeError instead of passing it through.
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
     probabilities = (adv.p_wh, adv.p_i, adv.p_r)
-    if 1.0 in probabilities or not any(probabilities):
-        # advance() also drops a buffered 32-bit half-word, which doubles
-        # never touch; put it back so the state equals the drawing path's.
-        saved = bits.state
-        bits.advance(trials * n * 3)
-        bits.state = {**bits.state, **{k: saved[k] for k in ("has_uint32", "uinteger")}}
-        return 0.0 if 1.0 in probabilities else 1.0
+    if 1.0 in probabilities:
+        return 0.0
+    if not any(probabilities):
+        return 1.0
     block = min(trials, MC_BLOCK_TRIALS)
     draws = np.empty((block * n, 3))
     caught = np.empty(block * n, dtype=bool)

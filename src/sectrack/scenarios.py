@@ -16,7 +16,7 @@ from pathlib import Path
 from sectrack import protocol
 from sectrack.channel import received_energy
 from sectrack.cipher import derive_stream_seed
-from sectrack.config import ScenarioConfig, echo_config
+from sectrack.config import SCENARIO_NAMES, ScenarioConfig, echo_config
 from sectrack.engine import run_scenario
 from sectrack.geometry import Position
 from sectrack.metrics import MetricsLog, plt_efficiency, switching_overhead, write_csv
@@ -212,9 +212,9 @@ def run(scenario_name: str, cfg: ScenarioConfig, out_dir: str | Path) -> int:
             out.mkdir(parents=True, exist_ok=True)
             echo_config(cfg, out / "effective.cfg")
             status = 0
-            for name in ("detection", "multi-target", "trajectory", "switching",
-                         "energy", "friendliness"):
-                status = max(status, run(name, cfg, out / name))
+            for name in SCENARIO_NAMES:
+                if name != "all":
+                    status = max(status, run(name, cfg, out / name))
             return status
 
         out.mkdir(parents=True, exist_ok=True)

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sectrack
 from sectrack.channel import MAX_BEAMS
 from sectrack.cli import main
 from sectrack.config import (
@@ -166,6 +172,21 @@ class TestParseConfig:
 
 
 class TestCli:
+    def test_python_dash_m_entry_point(self, tmp_path):
+        # The package's own directory first, so the subprocess imports this tree.
+        paths = [str(Path(sectrack.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        out = tmp_path / "energy"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sectrack", "--scenario", "energy", "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs = {"detection", "efficiency", "trajectory", "switching", "energy", "friendliness"}
+        assert {p.name for p in out.glob("*.csv")} == {f"{name}.csv" for name in csvs}
+
     def test_energy_scenario(self, tmp_path):
         out = tmp_path / "energy"
         assert main(["--scenario", "energy", "--out", str(out)]) == 0
@@ -214,7 +235,14 @@ class TestCli:
         assert main(["--set", "nonsense", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "override", ["sim.duration=nan", "sim.duration=inf", "channel.range_limit=-5"]
+        "override",
+        [
+            "sim.duration=nan",
+            "sim.duration=inf",
+            "channel.range_limit=-5",
+            "sim.duration=3",
+            "channel.e_total=0",
+        ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, override):
         key = override.split("=")[0].split(".")[1]

@@ -120,7 +120,6 @@ class TestSwitchingOverhead:
             SwitchEvent(90.0, 2, 5, 6, SwitchCause.SECTOR_CONTENTION, 2.0),
         ]
         assert switching_overhead(log) == 26.0
-        assert switching_overhead(log, window=(0.0, 60.0)) == 24.0
 
 
 class TestWriteCsv:
