@@ -18,6 +18,8 @@ from sectrack.geometry import Position
 
 # Largest beam count the energy model must stay positive for.
 MAX_BEAMS = 8
+# Standard normals drawn at a time by NormalStream.
+NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -41,12 +43,41 @@ class ChannelConfig:
             raise ValueError(f"beta must be below {1.0 / (MAX_BEAMS - 1):.4f}")
 
 
+class NormalStream:
+    """A Generator's ``normal`` draws, served from blocks of standard normals.
+
+    numpy computes ``normal(loc, scale)`` as ``loc + scale * z`` for one
+    standard normal z, and ``standard_normal(n)`` fills its n values with
+    the same routine, in order.  So the k-th ``normal`` call here returns
+    the k-th scalar ``normal`` call's value on the wrapped generator; only
+    the generator itself runs up to one block ahead.  A block is drawn on
+    the first call that needs it, so a stream never asked draws nothing.
+    The block is read through a memoryview, which yields each value as a
+    Python float without boxing the whole block at once.
+    """
+
+    __slots__ = ("_rng", "_block", "_next")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._block = memoryview(b"")
+        self._next = 0
+
+    def normal(self, loc: float, scale: float) -> float:
+        if self._next == len(self._block):
+            self._block = memoryview(self._rng.standard_normal(NOISE_BLOCK))
+            self._next = 0
+        z = self._block[self._next]
+        self._next += 1
+        return loc + scale * z
+
+
 def propagate(
     tx: Position,
     rx: Position,
     t_send: float,
     cfg: ChannelConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | NormalStream | None = None,
     sigma_t: float | None = None,
 ) -> float | None:
     """Arrival timestamp of a packet sent at t_send, or None beyond range.

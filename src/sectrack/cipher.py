@@ -290,10 +290,15 @@ def reconstruct_initial_key(
 
 def _xor_with_keystream(payload: bytes, key: IntegratedKey) -> bytes:
     # The whole payload XORed as one big-endian integer, byte for byte the
-    # same as XORing each byte with the repeated keystream block.
+    # same as XORing each byte with the repeated keystream block: k1, k2
+    # and k3 fill 96, 64 and 96 bits, so as_int() is that block read
+    # big-endian.  Packets hold at least one whole block.
     n = len(payload)
-    stream = key.keystream_block() * (n // BLOCK_BYTES)
-    return (int.from_bytes(payload, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
+    block = key.as_int()
+    stream = block
+    for _ in range(1, n // BLOCK_BYTES):
+        stream = (stream << (8 * BLOCK_BYTES)) | block
+    return (int.from_bytes(payload, "big") ^ stream).to_bytes(n, "big")
 
 
 def encrypt_packet(plain: EnsemblePacket, key: IntegratedKey) -> CipherPacket:

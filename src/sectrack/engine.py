@@ -215,13 +215,21 @@ class Engine:
         self.queue = EventQueue()
         self.adversary = protocol.AdversaryModel(cfg.p_wh, cfg.p_i, cfg.p_r)
 
+        # Jitter of a reference running m tracking beams, m = 1..sectors.
+        self.ranging_sigma = {
+            m: ch.ranging_noise_std(self.chan, m) for m in range(1, cfg.sectors + 1)
+        }
+
         seed = cfg.master_seed
-        self.rng_channel = np.random.default_rng(cipher.derive_stream_seed(seed, "channel"))
+        self.rng_channel = ch.NormalStream(
+            np.random.default_rng(cipher.derive_stream_seed(seed, "channel"))
+        )
         self.rng_protocol = np.random.default_rng(cipher.derive_stream_seed(seed, "protocol"))
         scene_rng = np.random.default_rng(cipher.derive_stream_seed(seed, "scenario"))
-        self.node_rngs: dict[int, np.random.Generator] = {}
 
         self.nodes: dict[int, NodeState] = {}
+        # Static nodes are left out: their step returns without moving or drawing.
+        self._movers: list[tuple[NodeState, np.random.Generator]] = []
         self._build_nodes(scene_rng)
         self.ch_node = self.nodes[0]
 
@@ -256,7 +264,6 @@ class Engine:
             node_rng = np.random.default_rng(
                 cipher.derive_stream_seed(cfg.master_seed, "mobility", nid)
             )
-            self.node_rngs[nid] = node_rng
             if nid in static_ids:
                 mob = mobility.make_random_waypoint(pos, 0.0, 0.0, area, node_rng)
             elif role is Role.MALICIOUS_TARGET and cfg.model == "parallel_path":
@@ -275,6 +282,8 @@ class Engine:
                 for k in range(cfg.sectors)
             ]
             self.nodes[nid] = NodeState(id=nid, role=role, mobility=mob, sectors=sectors)
+            if nid not in static_ids:
+                self._movers.append((self.nodes[nid], node_rng))
 
     def _schedule_all(self) -> None:
         cfg = self.cfg
@@ -323,10 +332,8 @@ class Engine:
 
     def _handle_mobility(self) -> None:
         # MOBILITY events fall at k * MOBILITY_DT for k >= 1: each step spans one.
-        for node in self.nodes.values():
-            node.mobility = mobility.step(
-                node.mobility, MOBILITY_DT, self.cfg.area_side, self.node_rngs[node.id]
-            )
+        for node, rng in self._movers:
+            node.mobility = mobility.step(node.mobility, MOBILITY_DT, self.cfg.area_side, rng)
 
     # ------------------------------------------------------------------
     # verification sweeps and verdicts
@@ -611,13 +618,21 @@ class Engine:
             self.zone_cfg,
         )
 
-    def _point(self, beam: SectorBeam, target: int, toward: Position, zone: TrackingZone) -> None:
-        """Claim ``beam`` for ``target``, aimed at ``toward`` and sized to cover ``zone``."""
-        observer = self.nodes[beam.owner].position
+    def _point(self, beam: SectorBeam, target: int, bearing: float, zone: TrackingZone) -> None:
+        """Claim ``beam`` for ``target``, aimed along ``bearing`` and sized to cover ``zone``.
+
+        This is the only place a beam becomes TRACKING, so sector
+        exclusivity is enforced here: a violation fails loudly instead of
+        skewing the metrics.
+        """
+        node = self.nodes[beam.owner]
+        for other in node.sectors:
+            if other is not beam and other.state is BeamState.TRACKING and other.target_id == target:
+                raise RuntimeError(f"t={self.now}: node {node.id} has one target on two sectors")
         beam.state = BeamState.TRACKING
         beam.target_id = target
-        beam.boresight = bearing_deg(observer, toward)
-        beam.beamwidth = beamwidth_for_zone(zone, observer, self.cfg.sectors)
+        beam.boresight = bearing
+        beam.beamwidth = beamwidth_for_zone(zone, node.position, self.cfg.sectors)
 
     # ------------------------------------------------------------------
     # tracking
@@ -631,17 +646,9 @@ class Engine:
             self.tracking_tick(track, t)
 
     def _check_invariants(self, t: float) -> None:
-        # Sector exclusivity, friendly-references-only and no beam left on a
-        # failed reference, enforced live so a violation fails loudly
-        # instead of skewing the metrics.
-        for node in self.nodes.values():
-            targets = [
-                b.target_id for b in node.sectors if b.state is BeamState.TRACKING
-            ]
-            if len(targets) != len(set(targets)):
-                raise RuntimeError(
-                    f"t={t}: node {node.id} has one target on two sectors"
-                )
+        # Friendly-references-only and no beam left on a failed reference,
+        # enforced live so a violation fails loudly instead of skewing the
+        # metrics.  Sector exclusivity is enforced where beams are claimed.
         for track in self.tracks.values():
             s = track.suspension
             if s is not None:
@@ -744,7 +751,8 @@ class Engine:
         """
         for ref_id in (track.ref_a, track.ref_b):
             node = self.nodes[ref_id]
-            want = sector_of(bearing_deg(node.position, prediction), self.cfg.sectors)
+            bearing = bearing_deg(node.position, prediction)
+            want = sector_of(bearing, self.cfg.sectors)
             beam = node.beam_for_target(track.target)
             if beam is None or beam.sector_index != want:
                 dest = node.sectors[want]
@@ -754,14 +762,14 @@ class Engine:
                 if beam is not None:
                     beam.release()
                 beam = dest
-            self._point(beam, track.target, prediction, zone)
+            self._point(beam, track.target, bearing, zone)
         return True
 
     def _range_exchange(self, ref: NodeState, target: NodeState, t: float) -> float | None:
         # Stamps are exchange-relative: the sub-millisecond exchange sits
         # inside one tick, and absolute-time offsets would only feed
         # floating-point cancellation into the range.
-        sigma = ch.ranging_noise_std(self.chan, ref.tracking_beam_count())
+        sigma = self.ranging_sigma[ref.tracking_beam_count()]
         toa_b = ch.propagate(
             ref.position, target.position, 0.0, self.chan, self.rng_channel, sigma_t=sigma
         )
@@ -871,7 +879,8 @@ class Engine:
         track.anchor_time = t
         zone = self._form_zone(track)
         for beam in beams:
-            self._point(beam, track.target, track.anchor, zone)
+            bearing = bearing_deg(self.nodes[beam.owner].position, track.anchor)
+            self._point(beam, track.target, bearing, zone)
         return True
 
     def switch_reference(

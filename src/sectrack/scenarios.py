@@ -24,6 +24,8 @@ from sectrack.metrics import MetricsLog, plt_efficiency, switching_overhead, wri
 DETECTION_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DETECTION_KEY_COUNTS = (1, 2, 4, 8)
 ENERGY_BEAM_SWEEP = range(1, 9)
+# Side of the area the fixed multi-target and trajectory layouts are drawn for.
+LAYOUT_SIDE = 400.0
 
 
 def run_detection(cfg: ScenarioConfig) -> MetricsLog:
@@ -51,33 +53,45 @@ def run_energy(cfg: ScenarioConfig) -> MetricsLog:
     return log
 
 
+def _layout_scale(cfg: ScenarioConfig) -> float:
+    """Factor applied to every coordinate of a layout drawn for LAYOUT_SIDE.
+
+    A smaller area shrinks the layout to fit.  A larger one keeps it as
+    drawn: the radio range does not grow with the area, so a stretched
+    layout would put references beyond the cluster head's reach.
+    """
+    return min(cfg.area_side / LAYOUT_SIDE, 1.0)
+
+
 def multi_target_config(cfg: ScenarioConfig, master_seed: int) -> ScenarioConfig:
     """Four targets staged in the four sectors of one primary reference.
 
     The cluster head and five static references are pinned; the targets
     start at growing distances in the primary's four sector directions so
-    they are detected, assigned and tracked in sector order.
+    they are detected, assigned and tracked in sector order.  Areas
+    smaller than LAYOUT_SIDE shrink the layout to fit.
     """
-    primary = Position(205.0, 200.0)
+    s = _layout_scale(cfg)
+    primary = Position(205.0 * s, 200.0 * s)
     bearings = (45.0, 135.0, 225.0, 315.0)
     distances = (60.0, 80.0, 100.0, 120.0)
     placements: dict[int, Position] = {
-        0: Position(195.0, 200.0),
+        0: Position(195.0 * s, 200.0 * s),
         1: primary,
         # partner references on the compass points and diagonals
-        2: Position(205.0, 330.0),
-        3: Position(75.0, 200.0),
-        4: Position(205.0, 70.0),
-        5: Position(335.0, 200.0),
-        6: Position(330.0, 330.0),
-        7: Position(80.0, 330.0),
-        8: Position(80.0, 70.0),
-        9: Position(330.0, 70.0),
+        2: Position(205.0 * s, 330.0 * s),
+        3: Position(75.0 * s, 200.0 * s),
+        4: Position(205.0 * s, 70.0 * s),
+        5: Position(335.0 * s, 200.0 * s),
+        6: Position(330.0 * s, 330.0 * s),
+        7: Position(80.0 * s, 330.0 * s),
+        8: Position(80.0 * s, 70.0 * s),
+        9: Position(330.0 * s, 70.0 * s),
     }
     for k, (b, d) in enumerate(zip(bearings, distances)):
         placements[10 + k] = Position(
-            primary.x + d * math.cos(math.radians(b)),
-            primary.y + d * math.sin(math.radians(b)),
+            primary.x + d * s * math.cos(math.radians(b)),
+            primary.y + d * s * math.sin(math.radians(b)),
         )
     return dataclasses.replace(
         cfg,
@@ -114,13 +128,15 @@ def run_multi_target(cfg: ScenarioConfig) -> MetricsLog:
 
 def trajectory_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Four targets sweeping the field on parallel lanes between two static
-    reference rows; slow march so one field crossing fills the full run."""
-    placements: dict[int, Position] = {0: Position(200.0, 200.0)}
+    reference rows; slow march so one field crossing fills the full run.
+    Areas smaller than LAYOUT_SIDE shrink the layout to fit."""
+    s = _layout_scale(cfg)
+    placements: dict[int, Position] = {0: Position(200.0 * s, 200.0 * s)}
     for i, x in enumerate((60.0, 150.0, 240.0, 330.0)):
-        placements[1 + i] = Position(x, 80.0)
-        placements[5 + i] = Position(x, 320.0)
+        placements[1 + i] = Position(x * s, 80.0 * s)
+        placements[5 + i] = Position(x * s, 320.0 * s)
     for k in range(4):
-        placements[9 + k] = Position(40.0, 140.0 + k * cfg.lane_spacing)
+        placements[9 + k] = Position(40.0 * s, (140.0 + k * cfg.lane_spacing) * s)
     return dataclasses.replace(
         cfg,
         node_count=13,

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sectrack.channel import ChannelConfig, propagate, ranging_noise_std, received_energy
+from sectrack.channel import (
+    NOISE_BLOCK,
+    ChannelConfig,
+    NormalStream,
+    propagate,
+    ranging_noise_std,
+    received_energy,
+)
 from sectrack.geometry import Position
 
 
@@ -67,3 +74,37 @@ class TestReceivedEnergy:
         stds = [ranging_noise_std(cfg, m) for m in range(1, 5)]
         assert stds[0] == cfg.sigma_t
         assert all(a < b for a, b in zip(stds, stds[1:]))
+
+
+class TestNormalStream:
+    def test_matches_scalar_normal_draws_across_blocks(self):
+        # Oracle: the scalar Generator.normal(0.0, sigma) calls the engine
+        # made before draws were blocked.
+        sigmas = [5e-9, 1e-9, 3.7e-8, 0.25, 1.0, 2.0e-9, 7.5]
+        n = 3 * NOISE_BLOCK + 17
+        oracle = np.random.default_rng(11)
+        stream = NormalStream(np.random.default_rng(11))
+        for i in range(n):
+            sigma = sigmas[i % len(sigmas)]
+            value = stream.normal(0.0, sigma)
+            assert type(value) is float and value == oracle.normal(0.0, sigma)
+
+    def test_propagate_draws_the_same_noise(self):
+        cfg = ChannelConfig()
+        oracle = np.random.default_rng(5)
+        stream = NormalStream(np.random.default_rng(5))
+        for k in range(2 * NOISE_BLOCK + 3):
+            sigma = ranging_noise_std(cfg, 1 + k % 4)
+            rx = Position(10.0 + k % 200, 3.0)
+            assert propagate(Position(0, 0), rx, 0.0, cfg, stream, sigma) == propagate(
+                Position(0, 0), rx, 0.0, cfg, oracle, sigma
+            )
+
+    def test_zero_sigma_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        stream = NormalStream(rng)
+        cfg = ChannelConfig(sigma_t=0.0)
+        for _ in range(5):
+            propagate(Position(0, 0), Position(100, 0), 0.0, cfg, stream)
+        assert rng.bit_generator.state == before

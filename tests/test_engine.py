@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from sectrack.channel import MAX_BEAMS, ranging_noise_std
 from sectrack.config import ScenarioConfig
 from sectrack.engine import (
     BeamState,
@@ -18,7 +19,7 @@ from sectrack.engine import (
 )
 from sectrack.geometry import Position
 from sectrack.metrics import SwitchCause, plt_efficiency, write_csv
-from sectrack.scenarios import friendliness_config
+from sectrack.scenarios import friendliness_config, multi_target_config
 
 
 def quiet_cluster(**overrides) -> ScenarioConfig:
@@ -277,3 +278,43 @@ class TestFriendlinessTimers:
             if ev.event == "reauth_ok" and ev.peer == 2 and ev.t > fail_t
         ]
         assert ok_after and min(ok_after) >= fail_t + 20.0
+
+
+class TestSectorExclusivity:
+    def test_second_beam_on_a_tracked_target_is_refused(self):
+        eng = Engine(quiet_cluster(duration=60.0))
+        eng.run()
+        held = eng.nodes[1].beam_for_target(3)
+        assert held is not None and held.state is BeamState.TRACKING
+        other = next(b for b in eng.nodes[1].sectors if b is not held)
+        zone = eng._form_zone(eng.tracks[3])
+        with pytest.raises(RuntimeError, match="node 1 has one target on two sectors"):
+            eng._point(other, 3, other.boresight, zone)
+        assert other.state is BeamState.IDLE  # refused before anything was written
+
+    def test_repointing_the_held_beam_is_allowed(self):
+        eng = Engine(quiet_cluster(duration=60.0))
+        eng.run()
+        held = eng.nodes[1].beam_for_target(3)
+        eng._point(held, 3, held.boresight, eng._form_zone(eng.tracks[3]))
+        assert held.state is BeamState.TRACKING and held.target_id == 3
+
+    def test_multi_target_run_claims_no_duplicate(self):
+        eng = Engine(multi_target_config(ScenarioConfig(master_seed=1), master_seed=41))
+        log = eng.run()
+        assert sum(len(r.estimates) for r in log.tracks.values()) > 0
+        for node in eng.nodes.values():
+            targets = [b.target_id for b in node.sectors if b.state is BeamState.TRACKING]
+            assert len(targets) == len(set(targets))
+
+
+class TestPerConfigTables:
+    def test_ranging_sigma_matches_the_channel_model(self):
+        eng = Engine(quiet_cluster(sectors=MAX_BEAMS))
+        assert eng.ranging_sigma == {
+            m: ranging_noise_std(eng.chan, m) for m in range(1, MAX_BEAMS + 1)
+        }
+
+    def test_static_nodes_are_not_stepped(self):
+        eng = Engine(quiet_cluster(static_ids=frozenset({0, 1, 2})))
+        assert [node.id for node, _ in eng._movers] == [3]

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
+import hashlib
 
-from sectrack.config import ScenarioConfig
+import numpy as np
+import pytest
+
+from sectrack.config import ScenarioConfig, parse_config
 from sectrack.cipher import derive_stream_seed
 from sectrack.engine import Engine
+from sectrack.geometry import Position
 from sectrack.metrics import switching_overhead
 from sectrack.scenarios import (
     multi_target_config,
@@ -17,6 +21,7 @@ from sectrack.scenarios import (
     run_trajectory,
     trajectory_config,
 )
+from sectrack.scenarios import run as run_named
 
 
 class TestMultiTargetConstruct:
@@ -89,3 +94,82 @@ class TestClosedFormScenarios:
         b = derive_stream_seed(7, "multi-target", 1)
         c = derive_stream_seed(7, "switching", 0)
         assert len({a, b, c}) == 3
+
+
+class TestLayoutsScaleWithTheArea:
+    @pytest.mark.parametrize("side", [100.0, 600.0])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda cfg: multi_target_config(cfg, master_seed=1), trajectory_config],
+        ids=["multi-target", "trajectory"],
+    )
+    def test_every_placement_lies_inside_the_area(self, build, side):
+        cfg = build(ScenarioConfig(master_seed=1, area_side=side))
+        assert len(cfg.placements) == cfg.node_count
+        for pos in cfg.placements.values():
+            assert 0.0 <= pos.x <= side and 0.0 <= pos.y <= side
+
+    def test_larger_area_keeps_the_layout_in_radio_range(self):
+        drawn = trajectory_config(ScenarioConfig(master_seed=1)).placements
+        assert trajectory_config(ScenarioConfig(master_seed=1, area_side=600.0)).placements == drawn
+
+    def test_smaller_area_shrinks_the_layout(self):
+        cfg = trajectory_config(ScenarioConfig(master_seed=1, area_side=100.0))
+        assert cfg.placements[1] == Position(15.0, 20.0)
+        # Fixes are no longer lost to references placed outside the area:
+        # the shrunken cluster fills as many samples as the drawn one.
+        counts = [
+            sum(
+                len(r.estimates)
+                for r in run_trajectory(
+                    ScenarioConfig(master_seed=1, area_side=side, duration=60.0)
+                ).tracks.values()
+            )
+            for side in (100.0, 400.0)
+        ]
+        assert counts[0] == counts[1] > 0
+
+
+# SHA-256 of every output file at master seed 2, taken before the tracking
+# tick was reworked.  bench/golden.json pins seed 1 only, so these hold the
+# engine to its bytes on a seed the benchmark never checks.
+HELD_OUT_TREES = {
+    "multi-target": (
+        {"sim.sample_interval": "1.0", "sim.seeds": "4"},
+        {
+            "detection.csv": "a8a3666030e8d8e6dbb9766ecce4384191c483e28b69c02cb168db710ce091e5",
+            "effective.cfg": "f54d641f25e8268bef6ee4d31fcfca09c044d502dc739f34968c15ba92462d43",
+            "efficiency.csv": "e86c22b718828fe7143b4a3cf6069c5b02e8e6376c4cd83948aca306e104a233",
+            "energy.csv": "c154cc7c6e9924f421340d60a80ee87ec6a748e5706eedf8b7c1a6dee91e0a58",
+            "friendliness.csv": "ef2544d5c2c3d379eb22c203eb633c485d93dadf55257e9dee3f2b959938d4b6",
+            "switching.csv": "e99bf73c22bc1c8fd5e9d5cd996fcb9494c25ee18b561ef8555eff02752edcc6",
+            "trajectory.csv": "2dcbd39a06737bccd20acf2ef808352f69f4fd36f79078ef03270605bcc1ec5c",
+        },
+    ),
+    "switching": (
+        {"sim.seeds": "1"},
+        {
+            "detection.csv": "a8a3666030e8d8e6dbb9766ecce4384191c483e28b69c02cb168db710ce091e5",
+            "effective.cfg": "20652972441c438dfaf0b38c295a5490b222cbbda84be83801cd6fec342520c1",
+            "efficiency.csv": "8b33f33caf3a37c3393cf9827639da3a8157d9dc9c4f9a5d7578579fe6697066",
+            "energy.csv": "c154cc7c6e9924f421340d60a80ee87ec6a748e5706eedf8b7c1a6dee91e0a58",
+            "friendliness.csv": "aef094c1fca5729e180b248a6592a4ed6d2ec88dd1b62dd57db6012bfd2fdec4",
+            "switching.csv": "0737c511ca14aa557b0a927e3051cf08cce1002050ade3bd54687b8d511ccc66",
+            "switching_summary.csv": "fbb846a39d733cfa7d8f9299ed6f9ae9833e2d1760816e6a119c9d24b0669b16",
+            "trajectory.csv": "12c4a81d2e03eb7492f647d392a82573899db5e1d947b99caa83783d204777a6",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(HELD_OUT_TREES))
+def test_held_out_seed_tree_matches_its_pins(scenario, tmp_path):
+    overrides, pinned = HELD_OUT_TREES[scenario]
+    cfg = parse_config(None, {**overrides, "sim.master_seed": "2"})
+    assert run_named(scenario, cfg, tmp_path) == 0
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file()
+    }
+    assert digests == pinned
