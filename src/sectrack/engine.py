@@ -177,7 +177,6 @@ class Track:
 
 
 class EventKind(enum.Enum):
-    MOBILITY = "mobility"
     SWEEP = "sweep"
     ASSIGN = "assign"
     TRACK = "track"
@@ -295,7 +294,6 @@ class Engine:
                 self.queue.push(t, kind)
                 k += 1
 
-        every(EventKind.MOBILITY, MOBILITY_DT, MOBILITY_DT)
         every(EventKind.SWEEP, 0.0, cfg.reauth_interval)
         every(EventKind.ASSIGN, cfg.sample_interval / 2.0, cfg.sample_interval)
         for t in cfg.sample_times():
@@ -306,16 +304,24 @@ class Engine:
 
     def run(self) -> MetricsLog:
         self._schedule_all()
+        end = self.cfg.duration + 1e-9
+        # Movers step once per tick k * MOBILITY_DT, k = 1..ticks, and an
+        # event at time t sees every tick at or before t.  The ticks are
+        # batched into one step call per mover when an event needs them.
+        ticks = int(end // MOBILITY_DT)
+        stepped = 0
         while len(self.queue):
             t, kind, payload = self.queue.pop()
-            if t > self.cfg.duration + 1e-9:
+            if t > end:
                 continue
             if t < self.now - 1e-12:
                 raise RuntimeError("event queue delivered an event in the past")
             self.now = max(self.now, t)
-            if kind is EventKind.MOBILITY:
-                self._handle_mobility()
-            elif kind is EventKind.SWEEP:
+            due = int(t // MOBILITY_DT)  # at most ticks, since t <= end
+            if due > stepped:
+                self._step_movers(due - stepped)
+                stepped = due
+            if kind is EventKind.SWEEP:
                 self.reauthentication_tick(t)
             elif kind is EventKind.ASSIGN:
                 self.assign_targets(t)
@@ -325,15 +331,18 @@ class Engine:
                 self._handle_scan_done(t, payload)
             elif kind is EventKind.VERDICT:
                 self._handle_verdict(t, payload)
+        if ticks > stepped:
+            self._step_movers(ticks - stepped)
         return self.log
 
     # ------------------------------------------------------------------
     # mobility
 
-    def _handle_mobility(self) -> None:
-        # MOBILITY events fall at k * MOBILITY_DT for k >= 1: each step spans one.
+    def _step_movers(self, steps: int) -> None:
         for node, rng in self._movers:
-            node.mobility = mobility.step(node.mobility, MOBILITY_DT, self.cfg.area_side, rng)
+            node.mobility = mobility.step(
+                node.mobility, MOBILITY_DT, self.cfg.area_side, rng, steps
+            )
 
     # ------------------------------------------------------------------
     # verification sweeps and verdicts

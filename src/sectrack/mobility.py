@@ -81,27 +81,40 @@ def _retarget(state: MobilityState, area: float, rng: np.random.Generator) -> Mo
 
 
 def _step_waypoint(
-    state: MobilityState, dt: float, area: float, rng: np.random.Generator
+    state: MobilityState, dt: float, area: float, rng: np.random.Generator, steps: int
 ) -> MobilityState:
-    remaining = dt
-    while remaining > 0.0:
-        speed = state.speed
-        if speed == 0.0:
-            if state.v_max == 0.0:
-                return state  # stationary node
+    # The node's floats live in locals across all steps: the position is
+    # written back only where _retarget reads it and at the end, and the
+    # speed is recomputed only when _retarget changes the velocity.
+    speed = state.speed
+    px, py = state.position
+    wx, wy = state.waypoint
+    for _ in range(steps):
+        remaining = dt
+        while remaining > 0.0:
+            if speed == 0.0:
+                if state.v_max == 0.0:
+                    # Stationary: state.position is as it was or as the
+                    # arrival before _retarget wrote it.
+                    return state
+                _retarget(state, area, rng)
+                wx, wy = state.waypoint
+                speed = state.speed
+                continue
+            leg = math.hypot(wx - px, wy - py)
+            travel = speed * remaining
+            if travel < leg:
+                f = travel / leg
+                px, py = px + f * (wx - px), py + f * (wy - py)
+                break
+            # Arrive, then keep moving toward a fresh waypoint with the leftover time.
+            remaining -= leg / speed
+            state.position = state.waypoint
+            px, py = wx, wy
             _retarget(state, area, rng)
-            continue
-        (px, py), (wx, wy) = state.position, state.waypoint
-        leg = math.hypot(wx - px, wy - py)
-        travel = speed * remaining
-        if travel < leg:
-            f = travel / leg
-            state.position = Position(px + f * (wx - px), py + f * (wy - py))
-            return state
-        # Arrive, then keep moving toward a fresh waypoint with the leftover time.
-        remaining -= leg / speed
-        state.position = state.waypoint
-        _retarget(state, area, rng)
+            wx, wy = state.waypoint
+            speed = state.speed
+    state.position = Position(px, py)
     return state
 
 
@@ -124,16 +137,26 @@ def _step_parallel(state: MobilityState, dt: float, area: float) -> MobilityStat
 
 
 def step(
-    state: MobilityState, dt: float, area: float, rng: np.random.Generator
+    state: MobilityState,
+    dt: float,
+    area: float,
+    rng: np.random.Generator,
+    steps: int = 1,
 ) -> MobilityState:
-    """Advance one node by dt seconds, in place; positions never leave [0, area]^2.
+    """Advance one node by ``steps`` steps of dt seconds, in place.
 
-    Returns ``state`` itself, so ``node.mobility = step(node.mobility, ...)``
-    and a bare ``step(node.mobility, ...)`` are equivalent.  Callers that
-    need an earlier state must copy it before stepping.
+    The result equals ``steps`` single steps in a row, float for float and
+    draw for draw; positions never leave [0, area]^2.  Returns ``state``
+    itself, so ``node.mobility = step(node.mobility, ...)`` and a bare
+    ``step(node.mobility, ...)`` are equivalent.  Callers that need an
+    earlier state must copy it before stepping.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     if state.kind is MobilityKind.PARALLEL_PATH:
-        return _step_parallel(state, dt, area)
-    return _step_waypoint(state, dt, area, rng)
+        for _ in range(steps):
+            _step_parallel(state, dt, area)
+        return state
+    return _step_waypoint(state, dt, area, rng, steps)

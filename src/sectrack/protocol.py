@@ -81,8 +81,10 @@ def _run_honest_challenge(
     ]
 
     # Receiver side: reconstruct from its own seeds and the initiator's id.
+    # The chain is a function of (first key, id, length) alone, so equal
+    # first keys give the transmitter's chain.
     rx_key = cipher.reconstruct_initial_key(cipher_packets[0], candidate_seeds, initiator_id)
-    rx_keys = cipher.key_chain(rx_key, initiator_id, j_max)
+    rx_keys = tx_keys if rx_key == tx_key else cipher.key_chain(rx_key, initiator_id, j_max)
 
     for j, cpkt in enumerate(cipher_packets):
         recovered = cipher.decrypt_packet(cpkt, rx_keys[j])

@@ -191,12 +191,19 @@ def friendliness_config(cfg: ScenarioConfig) -> ScenarioConfig:
     Reference 2 fails its re-auth once at t>=25 (one scan), then twice in
     a row from t>=75 (consecutive-failure scan); no spare reference
     exists, so the track must wait the scans out.
+
+    The cluster sits at (200, 200), moved toward the origin just far
+    enough to fit a smaller area; its spacing is kept, since a shrunken
+    target would fall inside the reference pair's baseline margin.  The
+    layout therefore fits only areas of at least 80 m.
     """
+    cx = min(200.0, cfg.area_side - 40.0)
+    cy = min(200.0, cfg.area_side - 60.0)
     placements = {
-        0: Position(200.0, 200.0),
-        1: Position(160.0, 200.0),
-        2: Position(240.0, 200.0),
-        3: Position(200.0, 260.0),
+        0: Position(cx, cy),
+        1: Position(cx - 40.0, cy),
+        2: Position(cx + 40.0, cy),
+        3: Position(cx, cy + 60.0),
     }
     return dataclasses.replace(
         cfg,

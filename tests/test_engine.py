@@ -6,9 +6,11 @@ import dataclasses
 
 import pytest
 
+from sectrack import mobility
 from sectrack.channel import MAX_BEAMS, ranging_noise_std
 from sectrack.config import ScenarioConfig
 from sectrack.engine import (
+    MOBILITY_DT,
     BeamState,
     Engine,
     EventKind,
@@ -55,7 +57,7 @@ class TestEventQueue:
     def test_fifo_among_equal_times(self):
         q = EventQueue()
         for i in range(10):
-            q.push(2.0, EventKind.MOBILITY, {"i": i})
+            q.push(2.0, EventKind.SCAN_DONE, {"i": i})
         order = [q.pop()[2]["i"] for _ in range(10)]
         assert order == list(range(10))
 
@@ -75,7 +77,6 @@ class TestSchedule:
         # 0.1 and 0.7 are inexact in binary: a running sum drifts off k * dt.
         cfg = quiet_cluster(duration=20.0, sample_interval=0.1, reauth_interval=0.7)
         times = self._scheduled(cfg)
-        assert times[EventKind.MOBILITY] == [float(k) for k in range(1, 21)]
         assert times[EventKind.SWEEP] == [0.7 * k for k in range(29)]
         assert times[EventKind.ASSIGN] == [0.05 + 0.1 * k for k in range(200)]
         assert times[EventKind.TRACK] == list(cfg.sample_times())
@@ -85,6 +86,78 @@ class TestSchedule:
         times = self._scheduled(quiet_cluster(duration=13.0))
         assert times[EventKind.TRACK] == [5.0, 10.0]
         assert times[EventKind.ASSIGN] == [2.5, 7.5, 12.5]
+
+
+class TestBatchedMobility:
+    """Movers step in batches, yet each event sees them as if stepped every tick."""
+
+    # Every handler the run loop dispatches to.
+    HANDLERS = (
+        "reauthentication_tick",
+        "assign_targets",
+        "_handle_track_tick",
+        "_handle_scan_done",
+        "_handle_verdict",
+    )
+
+    @pytest.mark.parametrize(
+        "cfg, catch_up",
+        [
+            (
+                ScenarioConfig(
+                    node_count=12, malicious_count=2, duration=20.0, sample_interval=0.1,
+                    reauth_interval=0.7, v_max=40.0, master_seed=3,
+                ),
+                False,
+            ),
+            # The last event falls before the last tick: the run steps on after it.
+            (
+                ScenarioConfig(
+                    node_count=12, malicious_count=2, duration=37.3, sample_interval=0.9,
+                    reauth_interval=3.0, v_max=40.0, master_seed=4,
+                ),
+                True,
+            ),
+        ],
+        ids=["duration-20", "duration-37.3"],
+    )
+    def test_every_event_sees_each_tick_at_or_before_it(self, cfg, catch_up, monkeypatch):
+        eng, eager = Engine(cfg), Engine(cfg)
+        # One step per tick k * MOBILITY_DT, k >= 1, up to the end of the run.
+        ticks = []
+        while (tick := (len(ticks) + 1) * MOBILITY_DT) <= cfg.duration + 1e-9:
+            ticks.append(tick)
+        eager_steps = 0
+
+        def advance(to: int) -> None:
+            nonlocal eager_steps
+            for _ in range(to - eager_steps):
+                for node, rng in eager._movers:
+                    mobility.step(node.mobility, MOBILITY_DT, cfg.area_side, rng)
+            eager_steps = max(eager_steps, to)
+
+        def assert_in_step() -> None:
+            assert [n.position for n, _ in eng._movers] == [
+                n.position for n, _ in eager._movers
+            ]
+
+        seen = []
+        for name in self.HANDLERS:
+            handler = getattr(eng, name)
+
+            def checked(t, *args, _handler=handler):
+                advance(sum(1 for tick in ticks if tick <= t))
+                assert_in_step()
+                seen.append(t)
+                return _handler(t, *args)
+
+            monkeypatch.setattr(eng, name, checked)
+        eng.run()
+        assert len(eng._movers) == 12 and len(seen) > 100
+        assert (max(seen) < ticks[-1]) is catch_up
+        advance(len(ticks))
+        assert eager_steps == int(cfg.duration)
+        assert_in_step()
 
 
 class TestRunScenario:

@@ -126,6 +126,53 @@ class TestInPlaceStepMatchesOracle:
             state.unknown = 1.0
 
 
+class TestBatchedStepMatchesOracle:
+    """``step(..., n)`` equals n single oracle steps, draw for draw."""
+
+    @staticmethod
+    def _start(model, seed, area):
+        draw = np.random.default_rng(seed)
+        pos = Position(draw.uniform(0, area), draw.uniform(0, area))
+        if model == "parallel":
+            return make_parallel_path(pos, draw.uniform(1.0, 30.0), draw.uniform(0.0, 360.0))
+        if model == "resting":
+            # v_max 0 with a velocity left over: it moves to its waypoint,
+            # draws a zero speed there and stays.
+            return MobilityState(
+                position=Position(10.0, 10.0), velocity=(3.0, 4.0), waypoint=Position(40.0, 50.0)
+            )
+        if model == "stationary":
+            return make_random_waypoint(pos, 0.0, 0.0, area, draw)
+        return make_random_waypoint(pos, 0.5, 40.0, area, draw)
+
+    @pytest.mark.parametrize("n", [1, 2, 25, 500])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("model", ["waypoint", "parallel", "resting", "stationary"])
+    def test_n_steps_equal_n_oracle_steps(self, model, seed, n):
+        area = 60.0  # small: a 40 m/s node retargets inside most batches
+        state = self._start(model, seed, area)
+        expected = replace(state)
+        rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        retargets = 0
+        for _ in range(max(2, 1000 // n)):
+            waypoint = state.waypoint
+            assert step(state, 0.7, area, rng, n) is state
+            for _ in range(n):
+                expected = _oracle_step(expected, 0.7, area, oracle_rng)
+            assert state.position == expected.position
+            assert state.velocity == expected.velocity
+            assert state.waypoint == expected.waypoint
+            retargets += state.waypoint != waypoint
+        assert rng.random() == oracle_rng.random()
+        if model == "waypoint":
+            assert retargets > 0
+
+    def test_zero_steps_is_refused(self):
+        state = make_parallel_path(Position(5, 5), 3.0, 45.0)
+        with pytest.raises(ValueError, match="steps"):
+            step(state, 1.0, 100.0, np.random.default_rng(0), 0)
+
+
 class TestRandomWaypoint:
     def test_straight_leg_kinematics(self):
         rng = np.random.default_rng(1)

@@ -13,6 +13,7 @@ from sectrack.engine import Engine
 from sectrack.geometry import Position
 from sectrack.metrics import switching_overhead
 from sectrack.scenarios import (
+    friendliness_config,
     multi_target_config,
     run_detection,
     run_energy,
@@ -130,8 +131,30 @@ class TestLayoutsScaleWithTheArea:
         assert counts[0] == counts[1] > 0
 
 
+class TestFriendlinessLayoutFitsTheArea:
+    @pytest.mark.parametrize("side", [100.0, 200.0])
+    def test_smaller_area_keeps_every_estimate(self, side):
+        cfg = friendliness_config(ScenarioConfig(master_seed=1, area_side=side))
+        for pos in cfg.placements.values():
+            assert 0.0 <= pos.x <= side and 0.0 <= pos.y <= side
+        counts = [
+            sum(
+                len(r.estimates)
+                for r in run_friendliness(ScenarioConfig(master_seed=1, area_side=a)).tracks.values()
+            )
+            for a in (side, 400.0)
+        ]
+        assert counts[0] == counts[1] > 0
+
+    def test_large_areas_keep_the_drawn_layout(self):
+        drawn = friendliness_config(ScenarioConfig(master_seed=1)).placements
+        assert drawn[0] == Position(200.0, 200.0)
+        assert friendliness_config(ScenarioConfig(master_seed=1, area_side=260.0)).placements == drawn
+
+
 # SHA-256 of every output file at master seed 2, taken before the tracking
-# tick was reworked.  bench/golden.json pins seed 1 only, so these hold the
+# tick was reworked (the trajectory tree: before mobility steps were
+# batched).  bench/golden.json pins seed 1 only, so these hold the
 # engine to its bytes on a seed the benchmark never checks.
 HELD_OUT_TREES = {
     "multi-target": (
@@ -144,6 +167,19 @@ HELD_OUT_TREES = {
             "friendliness.csv": "ef2544d5c2c3d379eb22c203eb633c485d93dadf55257e9dee3f2b959938d4b6",
             "switching.csv": "e99bf73c22bc1c8fd5e9d5cd996fcb9494c25ee18b561ef8555eff02752edcc6",
             "trajectory.csv": "2dcbd39a06737bccd20acf2ef808352f69f4fd36f79078ef03270605bcc1ec5c",
+        },
+    ),
+    # The parallel-path lanes go through the batched mobility step.
+    "trajectory": (
+        {},
+        {
+            "detection.csv": "a8a3666030e8d8e6dbb9766ecce4384191c483e28b69c02cb168db710ce091e5",
+            "effective.cfg": "7928eef9c7011ca65510da636ba852338a9b9bf8569c1a50ae3829a81a11b44e",
+            "efficiency.csv": "8b33f33caf3a37c3393cf9827639da3a8157d9dc9c4f9a5d7578579fe6697066",
+            "energy.csv": "c154cc7c6e9924f421340d60a80ee87ec6a748e5706eedf8b7c1a6dee91e0a58",
+            "friendliness.csv": "97bf790794cd9e07d712a06cf68222ca860ea95e3166790ad95c45cc0071c826",
+            "switching.csv": "8dc34f52f9322e6966385d78b7635f958e9008a847c1fd910db28b25d2bda270",
+            "trajectory.csv": "a9e524bd7a6e9e571c70b16d3d2ff2bc98c8fec7e2cc1bbd4348eedad12aecd1",
         },
     ),
     "switching": (
