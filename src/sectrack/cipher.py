@@ -50,22 +50,22 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _fold_seed(seed: int) -> int:
+def _rng96(seed: int, domain: int) -> int:
+    # First 96 bits of two successive SplitMix64 draws.  A 128-bit seed
+    # folds to 64 bits by XOR of its halves, and the domain constant is
+    # mixed into the initial state.  Both rounds are _mix64, inlined.
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if seed >> 128:
         raise ValueError("seed wider than 128 bits")
-    # 128-bit seeds fold to 64 bits by XOR of halves.
-    return (seed >> 64) ^ (seed & _MASK64)
-
-
-def _rng96(seed: int, domain: int) -> int:
-    # First 96 bits of two successive SplitMix64 draws, seeded by the
-    # folded seed with the domain constant mixed into the initial state.
-    state = ((_fold_seed(seed) ^ domain) + _GAMMA) & _MASK64
-    z1 = _mix64(state)
-    z2 = _mix64((state + _GAMMA) & _MASK64)
-    return (z1 << 32) | (z2 >> 32)
+    state = (((seed >> 64) ^ (seed & _MASK64) ^ domain) + _GAMMA) & _MASK64
+    z = (state ^ (state >> 30)) * _MIX_A & _MASK64
+    z = (z ^ (z >> 27)) * _MIX_B & _MASK64
+    z1 = z ^ (z >> 31)
+    z = (state + _GAMMA) & _MASK64
+    z = (z ^ (z >> 30)) * _MIX_A & _MASK64
+    z = (z ^ (z >> 27)) * _MIX_B & _MASK64
+    return (z1 << 32) | ((z ^ (z >> 31)) >> 32)
 
 
 def rng1(seed: int) -> int:
@@ -97,7 +97,7 @@ def derive_stream_seed(master: int, label: str, index: int = 0) -> int:
     return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeedPair:
     """Shared key seeds both handshake parties derive independently.
 
@@ -147,7 +147,7 @@ class SeedPair:
         return self.loc_seed & 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegratedKey:
     """One 256-bit key: 96-bit k1, 64-bit node identity k2, 96-bit k3."""
 
@@ -186,7 +186,7 @@ class IntegratedKey:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnsemblePacket:
     """Plaintext packet: padded payload plus its 1-based chain ordinal."""
 
@@ -199,7 +199,7 @@ class EnsemblePacket:
             raise ValueError("packet index starts at 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CipherPacket:
     """Encrypted packet; same length and ordinal as its plaintext."""
 
@@ -261,11 +261,12 @@ def derive_initial_key(seeds: SeedPair, node_id: int, first_plain_seg: int) -> I
 
 def evolve_key(prev: IntegratedKey, node_id: int) -> IntegratedKey:
     """Next key in the chain, expanded from the halves of the previous one."""
-    whole = prev.as_int()
+    # The halves of k1 || k2 || k3 split k2 in two: bits [0,128) are k1 and
+    # k2's high 32 bits, bits [128,256) are k2's low 32 bits and k3.
     return IntegratedKey(
-        k1=rng1(whole >> 128),
+        k1=rng1((prev.k1 << 32) | (prev.k2 >> 32)),
         k2=node_id & _MASK64,
-        k3=rng2(whole & _MASK128),
+        k3=rng2(((prev.k2 & 0xFFFFFFFF) << 96) | prev.k3),
     )
 
 

@@ -272,8 +272,12 @@ def validate(cfg: ScenarioConfig) -> None:
         )
     if cfg.model not in ("random_waypoint", "parallel_path"):
         raise ConfigError(f"'model' must be random_waypoint or parallel_path, got '{cfg.model}'")
-    if cfg.auth_duration < 0 or cfg.master_seed < 0:
-        raise ConfigError("'auth_duration' and 'master_seed' must be nonnegative")
+    if cfg.auth_duration < 0:
+        raise ConfigError(f"'auth_duration' must be nonnegative, got {cfg.auth_duration}")
+    if not 0 <= cfg.master_seed < 1 << 64:
+        # Stream seeds keep only the low 64 bits, so a wider seed would
+        # silently run as another one.
+        raise ConfigError(f"'master_seed' must be in [0, 2**64 - 1], got {cfg.master_seed}")
     if cfg.model == "parallel_path":
         _check_lane_starts(cfg)
     try:

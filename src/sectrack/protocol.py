@@ -48,11 +48,13 @@ class AdversaryModel:
 
 def _challenge_payloads(j_max: int, rng: np.random.Generator) -> list[bytes]:
     # 24, 32 or 40 random bytes per packet, 1..2 blocks after padding.  Each
-    # size is a whole number of the generator's 32-bit words, so one draw of
-    # the total, sliced, equals the per-packet draws and leaves the stream
-    # in the same state.
+    # size is a whole number of 64-bit words, read little-endian straight
+    # from the bit generator.  That is byte for byte rng.bytes, which splits
+    # each PCG64 word into its low then its high 32 bits, as long as no half
+    # word is buffered: the protocol stream draws only these words and
+    # random(), which never leaves one.
     sizes = [24 + 8 * (j % 3) for j in range(j_max)]
-    blob = rng.bytes(sum(sizes))
+    blob = rng.bit_generator.random_raw(sum(sizes) // 8).astype("<u8", copy=False).tobytes()
     payloads = []
     end = 0
     for size in sizes:
@@ -128,6 +130,10 @@ def complete_verification(
     keyed by ``initiator_id``; they pass exactly when their seeds match
     the initiator's.  Dishonest candidates are screened by ``n_keys``
     independent key checks whose detection odds follow the replay model.
+
+    The challenge payloads are the next raw 64-bit words of
+    ``rng.bit_generator``.  For a ``default_rng`` (PCG64) generator that
+    has drawn no odd number of 32-bit values, they equal ``rng.bytes``.
     """
     if candidate_honest:
         passed = _run_honest_challenge(initiator_seeds, candidate_seeds, initiator_id, j_max, rng)

@@ -7,6 +7,7 @@ imported from the package) plus frozen values computed from it.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -69,10 +70,27 @@ class TestReferenceRngs:
 
     def test_matches_independent_oracle(self):
         rnd = random.Random(7)
-        for _ in range(500):
-            seed = rnd.getrandbits(rnd.choice([16, 64, 128]))
+        seeds = [rnd.getrandbits(rnd.choice([16, 64, 128])) for _ in range(500)]
+        seeds += [rnd.getrandbits(127) | 1 << 127 for _ in range(50)]  # top bit set
+        seeds += [0, _M64, 1 << 64, 1 << 127, (1 << 128) - 1]
+        for seed in seeds:
             assert rng1(seed) == _oracle_rng(seed, 0x01)
             assert rng2(seed) == _oracle_rng(seed, 0x02)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "nonnegative"),
+            (-(1 << 64), "nonnegative"),
+            (1 << 128, "wider than 128 bits"),
+            ((1 << 128) + 5, "wider than 128 bits"),
+            (1 << 200, "wider than 128 bits"),
+        ],
+    )
+    def test_seed_outside_128_bits_refused(self, seed, message):
+        for rng in (rng1, rng2):
+            with pytest.raises(ValueError, match=message):
+                rng(seed)
 
     def test_output_width(self):
         rnd = random.Random(8)
@@ -252,13 +270,82 @@ class TestWholeIntegerHotPaths:
 
     def test_evolve_matches_half_accessors(self):
         rnd = random.Random(23)
-        for _ in range(200):
-            key = self._random_key(rnd)
+        keys = [self._random_key(rnd) for _ in range(200)]
+        ones96, ones64 = (1 << 96) - 1, _M64
+        keys += [
+            IntegratedKey(k1=ones96, k2=ones64, k3=ones96),
+            IntegratedKey(k1=0, k2=0, k3=0),
+            IntegratedKey(k1=1 << 95, k2=0, k3=0),  # first half's top bit only
+            IntegratedKey(k1=0, k2=0xFFFFFFFF, k3=1 << 95),  # second half's top bit set
+            IntegratedKey(k1=0, k2=0xFFFFFFFF00000000, k3=0),  # k2 split across the halves
+        ]
+        for key in keys:
             node_id = rnd.getrandbits(64)
             nxt = evolve_key(key, node_id)
             assert nxt == IntegratedKey(
                 k1=rng1(key.first_half()), k2=node_id, k3=rng2(key.second_half())
             )
+            assert nxt.k1 == _oracle_rng(key.as_int() >> 128, 0x01)
+            assert nxt.k3 == _oracle_rng(key.as_int() & ((1 << 128) - 1), 0x02)
+
+
+class TestRecords:
+    """The slotted, frozen records keep value semantics and their checks."""
+
+    KEY = IntegratedKey(k1=0xABC, k2=0xDEF, k3=0x123)
+    SEEDS = SeedPair(loc_seed=(80 << 32) | 45, rtt_seed=7)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (KEY, "k1"),
+            (SEEDS, "rtt_seed"),
+            (EnsemblePacket(bytes(32), index=2), "payload"),
+            (CipherPacket(bytes(32)), "index"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, 1)
+        assert not hasattr(record, "__dict__")  # slotted
+
+    def test_replace_equality_and_hash(self):
+        for record, field, value in ((self.KEY, "k3", 0x124), (self.SEEDS, "rtt_seed", 8)):
+            twin = dataclasses.replace(record)
+            assert twin == record and twin is not record
+            assert hash(twin) == hash(record)
+            changed = dataclasses.replace(record, **{field: value})
+            assert changed != record and getattr(changed, field) == value
+            assert len({record, twin, changed}) == 2
+        assert self.KEY != self.SEEDS
+
+    @pytest.mark.parametrize(
+        "record, fields, message",
+        [
+            (SeedPair, {"loc_seed": -1, "rtt_seed": 0}, "loc_seed must fit in 64 bits"),
+            (SeedPair, {"loc_seed": 1 << 64, "rtt_seed": 0}, "loc_seed must fit in 64 bits"),
+            (SeedPair, {"loc_seed": 0, "rtt_seed": -1}, "rtt_seed must fit in 64 bits"),
+            (SeedPair, {"loc_seed": 0, "rtt_seed": 1 << 64}, "rtt_seed must fit in 64 bits"),
+            (SeedPair, {"loc_seed": 360, "rtt_seed": 0}, r"bearing field must be in \[0, 360\)"),
+            (IntegratedKey, {"k1": 1 << 96, "k2": 0, "k3": 0}, "k1 must fit in 96 bits"),
+            (IntegratedKey, {"k1": -1, "k2": 0, "k3": 0}, "k1 must fit in 96 bits"),
+            (IntegratedKey, {"k1": 0, "k2": 1 << 64, "k3": 0}, "k2 must fit in 64 bits"),
+            (IntegratedKey, {"k1": 0, "k2": -1, "k3": 0}, "k2 must fit in 64 bits"),
+            (IntegratedKey, {"k1": 0, "k2": 0, "k3": 1 << 96}, "k3 must fit in 96 bits"),
+            (IntegratedKey, {"k1": 0, "k2": 0, "k3": -1}, "k3 must fit in 96 bits"),
+            (EnsemblePacket, {"payload": bytes(32), "index": 0}, "packet index starts at 1"),
+            (CipherPacket, {"payload": bytes(32), "index": 0}, "packet index starts at 1"),
+        ],
+    )
+    def test_constructor_refusals(self, record, fields, message):
+        with pytest.raises(ValueError, match=message):
+            record(**fields)
+
+    @pytest.mark.parametrize("record", [EnsemblePacket, CipherPacket])
+    @pytest.mark.parametrize("payload", [b"", bytes(31), bytes(40)])
+    def test_packet_refuses_malformed_payload(self, record, payload):
+        with pytest.raises(MalformedPacketError):
+            record(payload)
 
 
 class TestPadding:
@@ -281,7 +368,8 @@ class TestReceiverReconstruction:
         key = derive_initial_key(seeds, 0xF00D, cipher.first_plain_segment(plain))
         ct = encrypt_packet(EnsemblePacket(plain), key)
         rebuilt = reconstruct_initial_key(ct, seeds, 0xF00D)
-        assert rebuilt == key
+        # The honest challenge reuses the transmitter's chain on this equality.
+        assert rebuilt == key and hash(rebuilt) == hash(key) and rebuilt is not key
         assert decrypt_packet(ct, rebuilt).payload == plain
 
     def test_rtt_off_by_one_bucket_breaks_k3(self):

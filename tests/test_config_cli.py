@@ -115,6 +115,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'lane_spacing' must be nonnegative, got -5"):
             parse_config(None, {"mobility.lane_spacing": "-5"})
 
+    def test_master_seed_outside_u64_rejected(self):
+        for ok in (0, 2**64 - 1):
+            assert parse_config(None, {"sim.master_seed": str(ok)}).master_seed == ok
+        for bad in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(ConfigError, match=rf"'master_seed' must be in .*, got {bad}$"):
+                parse_config(None, {"sim.master_seed": str(bad)})
+
+    def test_negative_auth_duration_names_its_key(self):
+        with pytest.raises(ConfigError, match=r"^'auth_duration' must be nonnegative, got -1.0$"):
+            parse_config(None, {"sfv.auth_duration": "-1"})
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_non_finite_floats_rejected(self, raw):
         for section, keys in SECTIONS.items():
@@ -249,6 +260,13 @@ class TestCli:
         assert main(["--scenario", "switching", "--out", str(tmp_path), "--set", override]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+        assert not any(tmp_path.iterdir())
+
+    def test_master_seed_above_u64_writes_nothing(self, tmp_path, capsys):
+        # 2**64 + 1 would otherwise run as master seed 1.
+        argv = ["--scenario", "energy", "--out", str(tmp_path), "--master-seed", str(2**64 + 1)]
+        assert main(argv) == 2
+        assert "'master_seed'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_set_flag_validation_error(self, tmp_path):

@@ -46,7 +46,7 @@ OVERRIDES = {
     "sim.sectors": ints(1, MAX_BEAMS, 0, MAX_BEAMS + 1),
     "sim.duration": floats(1.0, 60.0, 0.0, -1.0),
     "sim.sample_interval": floats(0.5, 20.0, 0.0, -1.0),
-    "sim.master_seed": ints(0, 2**64 - 1, -1),
+    "sim.master_seed": ints(0, 2**64 - 1, -1, 2**64),
     "sim.scenario": st.sampled_from(("all", "switching", "tracking")),
     "sim.trials": ints(1, 100, 0),
     "channel.c": floats(1e6, 3e8, 0.0, -1.0),

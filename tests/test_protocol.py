@@ -199,8 +199,17 @@ class TestMonteCarloBlocks:
 class TestChallengePayloads:
     @pytest.mark.parametrize("j_max", range(1, 9))
     def test_single_draw_equals_per_packet_draws(self, j_max):
+        # Generator.bytes of each packet is the reference.  The protocol
+        # stream interleaves payloads with the adversary path's random()
+        # draws: none, one or two of them come before and between the
+        # payload draws, and more follow.
         for seed in range(20):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            expected = [cipher.pad(ref.bytes(24 + 8 * (j % 3))) for j in range(j_max)]
-            assert _challenge_payloads(j_max, rng) == expected
+            for _ in range(3):
+                for _ in range(seed % 3):
+                    assert rng.random() == ref.random()
+                expected = [cipher.pad(ref.bytes(24 + 8 * (j % 3))) for j in range(j_max)]
+                assert _challenge_payloads(j_max, rng) == expected
+            assert rng.random() == ref.random()
+            assert rng.bytes(8) == ref.bytes(8)
             assert rng.random() == ref.random()
