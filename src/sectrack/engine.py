@@ -131,7 +131,11 @@ class NodeState:
         return None
 
     def tracking_beam_count(self) -> int:
-        return max(1, sum(1 for b in self.sectors if b.state is BeamState.TRACKING))
+        n = 0
+        for b in self.sectors:
+            if b.state is BeamState.TRACKING:
+                n += 1
+        return max(1, n)
 
 
 @dataclass
@@ -371,7 +375,9 @@ class Engine:
         """Run one handshake; schedules the verdict at the exchange end."""
         ch_node = self.ch_node
         peer = self.nodes[peer_id]
-        d = distance(ch_node.position, peer.position)
+        ch_pos = ch_node.position
+        peer_pos = peer.position
+        d = distance(ch_pos, peer_pos)
         if d > self.cfg.range_limit:
             rec = ch_node.friendliness.get(peer_id)
             if rec and rec.status is Friendliness.FRIENDLY:
@@ -386,12 +392,10 @@ class Engine:
         # Preamble: two ping/echo exchanges so each side holds an RTT sample.
         legs = []
         t_cursor = t
-        endpoints = [(ch_node, peer), (peer, ch_node), (peer, ch_node), (ch_node, peer)]
+        endpoints = [(ch_pos, peer_pos), (peer_pos, ch_pos), (peer_pos, ch_pos), (ch_pos, peer_pos)]
         for tx, rx in endpoints:
             # Never None: propagate repeats the range test passed above.
-            arrival = ch.propagate(
-                tx.position, rx.position, t_cursor, self.chan, self.rng_channel
-            )
+            arrival = ch.propagate(tx, rx, t_cursor, self.chan, self.rng_channel)
             legs.append(arrival - t_cursor)
             t_cursor = arrival
         # timestamp noise can push a near-field RTT below zero; both sides
@@ -401,7 +405,7 @@ class Engine:
 
         # Location seed from the positions carried in the preamble; both
         # sides quantize the initiator->candidate distance and bearing.
-        bear = bearing_deg(ch_node.position, peer.position)
+        bear = bearing_deg(ch_pos, peer_pos)
         init_seeds = cipher.SeedPair.from_measurements(d, bear, rtt_initiator, self.cfg.rtt_bucket)
         cand_seeds = cipher.SeedPair.from_measurements(d, bear, rtt_candidate, self.cfg.rtt_bucket)
 
@@ -563,11 +567,12 @@ class Engine:
             rec = self.ch_node.friendliness.get(nid)
             if rec is None or rec.status is not Friendliness.FRIENDLY:
                 continue
-            if distance(node.position, around) > self.cfg.range_limit:
+            d = distance(node.position, around)
+            if d > self.cfg.range_limit:
                 continue
-            cands.append(node)
-        cands.sort(key=lambda n: (distance(n.position, around), n.id))
-        return cands
+            cands.append((d, nid))
+        cands.sort()
+        return [self.nodes[nid] for _, nid in cands]
 
     def _free_facing_beam(self, node: NodeState, toward: Position) -> SectorBeam | None:
         sec = sector_of(bearing_deg(node.position, toward), self.cfg.sectors)
@@ -627,8 +632,17 @@ class Engine:
             self.zone_cfg,
         )
 
-    def _point(self, beam: SectorBeam, target: int, bearing: float, zone: TrackingZone) -> None:
+    def _point(
+        self,
+        beam: SectorBeam,
+        target: int,
+        bearing: float,
+        zone: TrackingZone,
+        observer: Position,
+    ) -> None:
         """Claim ``beam`` for ``target``, aimed along ``bearing`` and sized to cover ``zone``.
+
+        ``observer`` is the position of the beam's owner.
 
         This is the only place a beam becomes TRACKING, so sector
         exclusivity is enforced here: a violation fails loudly instead of
@@ -641,7 +655,7 @@ class Engine:
         beam.state = BeamState.TRACKING
         beam.target_id = target
         beam.boresight = bearing
-        beam.beamwidth = beamwidth_for_zone(zone, node.position, self.cfg.sectors)
+        beam.beamwidth = beamwidth_for_zone(zone, observer, self.cfg.sectors)
 
     # ------------------------------------------------------------------
     # tracking
@@ -675,38 +689,41 @@ class Engine:
                     )
 
     def tracking_tick(self, track: Track, t: float) -> None:
-        """One zone -> beams -> ranging -> triangulation -> update cycle."""
-        target = self.nodes[track.target]
+        """One zone -> beams -> ranging -> triangulation -> update cycle.
+
+        No node moves during a tick, so both references' and the target's
+        positions are read once here and passed down.
+        """
+        ref_a, ref_b = track.ref_a, track.ref_b
+        pos_a = self.nodes[ref_a].position
+        pos_b = self.nodes[ref_b].position
+        target_pos = self.nodes[track.target].position
         prediction = track.predict(t)
 
-        for ref_id in (track.ref_a, track.ref_b):
-            if distance(self.nodes[ref_id].position, prediction) > self.cfg.range_limit:
+        for ref_id, pos in ((ref_a, pos_a), (ref_b, pos_b)):
+            if distance(pos, prediction) > self.cfg.range_limit:
                 self.switch_reference(track, ref_id, SwitchCause.OUT_OF_RANGE, t)
                 return
 
-        pos_a = self.nodes[track.ref_a].position
-        pos_b = self.nodes[track.ref_b].position
         if point_line_distance(prediction, pos_a, pos_b) < BASELINE_MARGIN / 2.0:
             # Target drifting onto the pair baseline: re-pair before the
             # fix goes side-ambiguous.
-            self.switch_reference(
-                track, self._far_ref(track, prediction), SwitchCause.OUT_OF_ZONE, t
-            )
+            far = self._far_ref(track, prediction, pos_a, pos_b)
+            self.switch_reference(track, far, SwitchCause.OUT_OF_ZONE, t)
             return
 
-        zone = self._form_zone(track)
-        if not self._reselect_sectors(track, zone, prediction, t):
+        zone = form_zone(
+            pos_a, pos_b, track.anchor, self.cfg.v_max, self.cfg.sample_interval, self.zone_cfg
+        )
+        if not self._reselect_sectors(track, zone, prediction, t, pos_a, pos_b):
             return
 
         ranges = []
         saw_out_of_range = False
-        for ref_id in (track.ref_a, track.ref_b):
-            r = self._range_exchange(self.nodes[ref_id], target, t)
+        for ref_id, pos in ((ref_a, pos_a), (ref_b, pos_b)):
+            r = self._range_exchange(self.nodes[ref_id], pos, target_pos)
             if r is None:
-                saw_out_of_range = saw_out_of_range or (
-                    distance(self.nodes[ref_id].position, target.position)
-                    > self.cfg.range_limit
-                )
+                saw_out_of_range = distance(pos, target_pos) > self.cfg.range_limit
                 ranges = None
                 break
             ranges.append(r)
@@ -714,7 +731,7 @@ class Engine:
         est = None
         ambiguous = False
         if ranges is not None:
-            est, ambiguous = self._triangulate(track, ranges, zone, prediction, t)
+            est, ambiguous = self._triangulate(track, ranges, zone, prediction, t, pos_a, pos_b)
         if est is not None and not (
             -AREA_SLACK <= est.x <= self.cfg.area_side + AREA_SLACK
             and -AREA_SLACK <= est.y <= self.cfg.area_side + AREA_SLACK
@@ -729,38 +746,46 @@ class Engine:
                 cause = (
                     SwitchCause.OUT_OF_RANGE if saw_out_of_range else SwitchCause.OUT_OF_ZONE
                 )
-                self.switch_reference(track, self._far_ref(track, prediction), cause, t)
+                far = self._far_ref(track, prediction, pos_a, pos_b)
+                self.switch_reference(track, far, cause, t)
             return
 
         if ambiguous:
-            est = self._sector_disambiguate(track, ranges, est)
-        truth = target.position
-        err = distance(est, truth)
+            est = self._sector_disambiguate(track, ranges, est, pos_a, pos_b)
+        err = distance(est, target_pos)
         prev = track.record.estimates[-1] if track.record.estimates else None
-        track.record.add_estimate(EstimateSample(t, est, truth, err))
+        track.record.add_estimate(EstimateSample(t, est, target_pos, err))
         if prev is not None and t > prev.t:
             track.vel_est = ((est.x - prev.est.x) / (t - prev.t), (est.y - prev.est.y) / (t - prev.t))
         track.anchor = est
         track.anchor_time = t
         track.consecutive_no_fix = 0
 
-    def _far_ref(self, track: Track, prediction: Position) -> int:
+    def _far_ref(
+        self, track: Track, prediction: Position, pos_a: Position, pos_b: Position
+    ) -> int:
         return max(
-            (track.ref_a, track.ref_b),
-            key=lambda rid: (distance(self.nodes[rid].position, prediction), rid),
-        )
+            (distance(pos_a, prediction), track.ref_a),
+            (distance(pos_b, prediction), track.ref_b),
+        )[1]
 
     def _reselect_sectors(
-        self, track: Track, zone: TrackingZone, prediction: Position, t: float
+        self,
+        track: Track,
+        zone: TrackingZone,
+        prediction: Position,
+        t: float,
+        pos_a: Position,
+        pos_b: Position,
     ) -> bool:
         """Point both references' beams at the predicted bearing.
 
         Returns False when a needed sector is busy with another track and
         the reference had to be switched (sector contention).
         """
-        for ref_id in (track.ref_a, track.ref_b):
+        for ref_id, pos in ((track.ref_a, pos_a), (track.ref_b, pos_b)):
             node = self.nodes[ref_id]
-            bearing = bearing_deg(node.position, prediction)
+            bearing = bearing_deg(pos, prediction)
             want = sector_of(bearing, self.cfg.sectors)
             beam = node.beam_for_target(track.target)
             if beam is None or beam.sector_index != want:
@@ -771,28 +796,29 @@ class Engine:
                 if beam is not None:
                     beam.release()
                 beam = dest
-            self._point(beam, track.target, bearing, zone)
+            self._point(beam, track.target, bearing, zone, pos)
         return True
 
-    def _range_exchange(self, ref: NodeState, target: NodeState, t: float) -> float | None:
+    def _range_exchange(
+        self, ref: NodeState, ref_pos: Position, target_pos: Position
+    ) -> float | None:
         # Stamps are exchange-relative: the sub-millisecond exchange sits
         # inside one tick, and absolute-time offsets would only feed
         # floating-point cancellation into the range.
         sigma = self.ranging_sigma[ref.tracking_beam_count()]
         toa_b = ch.propagate(
-            ref.position, target.position, 0.0, self.chan, self.rng_channel, sigma_t=sigma
+            ref_pos, target_pos, 0.0, self.chan, self.rng_channel, sigma_t=sigma
         )
         if toa_b is None:
             return None
         tod_b = toa_b + PROCESSING_DELAY
         # Never None: the echo leg spans the same distance as the ping.
         toa_a = ch.propagate(
-            target.position, ref.position, tod_b, self.chan, self.rng_channel, sigma_t=sigma
+            target_pos, ref_pos, tod_b, self.chan, self.rng_channel, sigma_t=sigma
         )
         try:
             return range_from_timestamps(
-                RangeMeasurement(tod_a=0.0, toa_b=toa_b, tod_b=tod_b, toa_a=toa_a),
-                self.chan.c,
+                RangeMeasurement(0.0, toa_b, tod_b, toa_a), self.chan.c
             )
         except MeasurementError:
             return None
@@ -804,9 +830,9 @@ class Engine:
         zone: TrackingZone,
         prediction: Position,
         t: float,
+        pos_a: Position,
+        pos_b: Position,
     ) -> tuple[Position | None, bool]:
-        pos_a = self.nodes[track.ref_a].position
-        pos_b = self.nodes[track.ref_b].position
         try:
             return triangulate(
                 pos_a, ranges[0], pos_b, ranges[1], zone, eps_gap=self.cfg.eps_gap
@@ -815,7 +841,9 @@ class Engine:
             # Rebuild the zone around the prediction and retry once.
             track.anchor = prediction
             track.anchor_time = t
-            rezone = self._form_zone(track)
+            rezone = form_zone(
+                pos_a, pos_b, prediction, self.cfg.v_max, self.cfg.sample_interval, self.zone_cfg
+            )
             try:
                 return triangulate(
                     pos_a, ranges[0], pos_b, ranges[1], rezone, eps_gap=self.cfg.eps_gap
@@ -826,19 +854,21 @@ class Engine:
             return None, False
 
     def _sector_disambiguate(
-        self, track: Track, ranges: list[float], chosen: Position
+        self,
+        track: Track,
+        ranges: list[float],
+        chosen: Position,
+        pos_a: Position,
+        pos_b: Position,
     ) -> Position:
         """Prefer the candidate whose bearing matches the claimed sector."""
-        node = self.nodes[track.ref_a]
         # Never None: _reselect_sectors pointed this beam in the same tick.
-        beam = node.beam_for_target(track.target)
-        points = circle_intersections(
-            node.position, ranges[0], self.nodes[track.ref_b].position, ranges[1]
-        )
+        beam = self.nodes[track.ref_a].beam_for_target(track.target)
+        points = circle_intersections(pos_a, ranges[0], pos_b, ranges[1])
         matching = [
             p
             for p in points
-            if sector_of(bearing_deg(node.position, p), self.cfg.sectors) == beam.sector_index
+            if sector_of(bearing_deg(pos_a, p), self.cfg.sectors) == beam.sector_index
         ]
         return matching[0] if len(matching) == 1 else chosen
 
@@ -888,8 +918,9 @@ class Engine:
         track.anchor_time = t
         zone = self._form_zone(track)
         for beam in beams:
-            bearing = bearing_deg(self.nodes[beam.owner].position, track.anchor)
-            self._point(beam, track.target, bearing, zone)
+            observer = self.nodes[beam.owner].position
+            bearing = bearing_deg(observer, track.anchor)
+            self._point(beam, track.target, bearing, zone, observer)
         return True
 
     def switch_reference(

@@ -58,8 +58,7 @@ def point_line_distance(p: Position, a: Position, b: Position) -> float:
     return abs(cross) / d
 
 
-@dataclass(frozen=True)
-class RangeMeasurement:
+class RangeMeasurement(NamedTuple):
     """Stamp quadruple of one two-way exchange: A sends, B echoes, A receives."""
 
     tod_a: float
@@ -83,8 +82,7 @@ class ZoneConfig:
     rho_max: float = 150.0
 
 
-@dataclass(frozen=True)
-class TrackingZone:
+class TrackingZone(NamedTuple):
     """Disc the beams of one reference pair keep focused on one target."""
 
     center: Position
@@ -116,7 +114,7 @@ def form_zone(
         raise DegenerateGeometryError("target estimate coincides with both references")
     radius = cfg.alpha * (d12 / d_avg) * d_avg + v_max * dt
     radius = min(max(radius, cfg.rho_min), cfg.rho_max)
-    return TrackingZone(center=last_est, radius=radius)
+    return TrackingZone(last_est, radius)
 
 
 def beamwidth_for_zone(zone: TrackingZone, observer: Position, sectors: int = 4) -> float:

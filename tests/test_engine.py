@@ -362,14 +362,15 @@ class TestSectorExclusivity:
         other = next(b for b in eng.nodes[1].sectors if b is not held)
         zone = eng._form_zone(eng.tracks[3])
         with pytest.raises(RuntimeError, match="node 1 has one target on two sectors"):
-            eng._point(other, 3, other.boresight, zone)
+            eng._point(other, 3, other.boresight, zone, eng.nodes[1].position)
         assert other.state is BeamState.IDLE  # refused before anything was written
 
     def test_repointing_the_held_beam_is_allowed(self):
         eng = Engine(quiet_cluster(duration=60.0))
         eng.run()
         held = eng.nodes[1].beam_for_target(3)
-        eng._point(held, 3, held.boresight, eng._form_zone(eng.tracks[3]))
+        zone = eng._form_zone(eng.tracks[3])
+        eng._point(held, 3, held.boresight, zone, eng.nodes[1].position)
         assert held.state is BeamState.TRACKING and held.target_id == 3
 
     def test_multi_target_run_claims_no_duplicate(self):

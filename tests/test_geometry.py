@@ -301,3 +301,61 @@ class TestTriangulate:
             oracle = grid_refine_oracle(a, distance(a, t), b, distance(b, t), t, 2.0)
             assert distance(est, oracle) < 1e-6
             done += 1
+
+
+class TestRecords:
+    """The ranging and zone records are immutable value records."""
+
+    STAMPS = (1.0e-9, 4.0e-7, 6.0e-7, 9.5e-7)
+
+    def records(self):
+        return [
+            RangeMeasurement(*self.STAMPS),
+            TrackingZone(Position(3.0, -2.0), 12.5),
+        ]
+
+    def test_refuse_attribute_assignment(self):
+        for record in self.records():
+            for name in type(record).__annotations__:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0.0)
+            with pytest.raises(AttributeError):
+                record.extra = 0.0
+            assert not hasattr(record, "__dict__")
+
+    def test_field_order(self):
+        assert list(RangeMeasurement.__annotations__) == ["tod_a", "toa_b", "tod_b", "toa_a"]
+        assert list(TrackingZone.__annotations__) == ["center", "radius"]
+        m = RangeMeasurement(*self.STAMPS)
+        assert (m.tod_a, m.toa_b, m.tod_b, m.toa_a) == self.STAMPS
+        zone = TrackingZone(Position(3.0, -2.0), 12.5)
+        assert zone.center == Position(3.0, -2.0) and zone.radius == 12.5
+
+    def test_equality_by_value(self):
+        for a, b in zip(self.records(), self.records()):
+            assert a is not b and a == b and hash(a) == hash(b)
+        assert RangeMeasurement(*self.STAMPS) != RangeMeasurement(0.0, *self.STAMPS[1:])
+        assert TrackingZone(Position(3.0, -2.0), 12.5) != TrackingZone(Position(3.0, -2.0), 12.0)
+
+    def test_keyword_and_positional_records_give_the_same_results(self):
+        tod_a, toa_b, tod_b, toa_a = self.STAMPS
+        by_kw = RangeMeasurement(tod_a=tod_a, toa_b=toa_b, tod_b=tod_b, toa_a=toa_a)
+        by_pos = RangeMeasurement(tod_a, toa_b, tod_b, toa_a)
+        assert repr(by_kw) == repr(by_pos)
+        assert repr(range_from_timestamps(by_kw, C)) == repr(range_from_timestamps(by_pos, C))
+
+        a, b, t = Position(0.0, 0.0), Position(40.0, 0.0), Position(17.0, 23.0)
+        zones = [
+            TrackingZone(center=Position(15.0, 20.0), radius=9.0),
+            TrackingZone(Position(15.0, 20.0), 9.0),
+        ]
+        assert repr(zones[0]) == repr(zones[1])
+        fixes = [triangulate(a, distance(a, t), b, distance(b, t), z) for z in zones]
+        assert repr(fixes[0]) == repr(fixes[1])
+        widths = [beamwidth_for_zone(z, Position(80.0, -30.0), 4) for z in zones]
+        assert repr(widths[0]) == repr(widths[1])
+
+    def test_contains_is_a_method(self):
+        zone = TrackingZone(Position(0.0, 0.0), 5.0)
+        assert zone.contains(Position(3.0, 4.0))
+        assert not zone.contains(Position(3.0, 4.0 + 1e-9))
