@@ -19,6 +19,7 @@ interoperate):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 _MASK64 = (1 << 64) - 1
@@ -39,6 +40,12 @@ K3_BYTES = 12
 
 DEFAULT_RTT_BUCKET = 10e-6
 
+# Entries of the _rng96 memo.  A screen expands rng1(loc_seed) again when
+# the receiver rebuilds its first key, and rng2(rtt_seed) on both sides.
+# 64 entries catch every such repeat; a larger memo would add only hits
+# across separate runs that share a seed.
+RNG96_CACHE_SIZE = 64
+
 
 class MalformedPacketError(ValueError):
     """Packet payload violates the 256-bit block structure."""
@@ -50,10 +57,15 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@functools.lru_cache(maxsize=RNG96_CACHE_SIZE, typed=True)
 def _rng96(seed: int, domain: int) -> int:
     # First 96 bits of two successive SplitMix64 draws.  A 128-bit seed
     # folds to 64 bits by XOR of its halves, and the domain constant is
     # mixed into the initial state.  Both rounds are _mix64, inlined.
+    # Memoised: the result is an int that depends on (seed, domain) alone.
+    # A refused seed raises on every call, since lru_cache stores only
+    # returned values; typed=True keeps a float seed that equals a cached
+    # int from skipping the TypeError it raises.
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if seed >> 128:

@@ -65,7 +65,6 @@ class TrackRecord:
 
     target: int
     estimates: list[EstimateSample] = field(default_factory=list)
-    switches: list[SwitchEvent] = field(default_factory=list)
     sample_times: tuple[float, ...] = ()
 
     def add_estimate(self, sample: EstimateSample) -> None:

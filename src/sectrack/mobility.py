@@ -24,6 +24,12 @@ class MobilityKind(enum.Enum):
     PARALLEL_PATH = "parallel_path"
 
 
+# Bound once, so the per-mover kind test in step() is a global read on
+# CPython 3.10 and 3.11, where EnumType.__getattr__ serves class lookups.
+RANDOM_WAYPOINT = MobilityKind.RANDOM_WAYPOINT
+PARALLEL_PATH = MobilityKind.PARALLEL_PATH
+
+
 @dataclass(slots=True)
 class MobilityState:
     position: Position
@@ -31,7 +37,7 @@ class MobilityState:
     waypoint: Position = Position(0.0, 0.0)
     v_min: float = 0.0
     v_max: float = 0.0
-    kind: MobilityKind = MobilityKind.RANDOM_WAYPOINT
+    kind: MobilityKind = RANDOM_WAYPOINT
 
     @property
     def speed(self) -> float:
@@ -45,7 +51,7 @@ def make_random_waypoint(
     if v_min > v_max:
         raise ValueError("v_min must not exceed v_max")
     state = MobilityState(
-        position=position, v_min=v_min, v_max=v_max, kind=MobilityKind.RANDOM_WAYPOINT
+        position=position, v_min=v_min, v_max=v_max, kind=RANDOM_WAYPOINT
     )
     if v_max == 0.0:
         state.waypoint = position
@@ -62,7 +68,7 @@ def make_parallel_path(position: Position, speed: float, heading: float) -> Mobi
         waypoint=position,
         v_min=speed,
         v_max=speed,
-        kind=MobilityKind.PARALLEL_PATH,
+        kind=PARALLEL_PATH,
     )
 
 
@@ -155,7 +161,7 @@ def step(
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if state.kind is MobilityKind.PARALLEL_PATH:
+    if state.kind is PARALLEL_PATH:
         for _ in range(steps):
             _step_parallel(state, dt, area)
         return state

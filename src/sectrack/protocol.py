@@ -26,6 +26,12 @@ class Verdict(enum.Enum):
     MALICIOUS = "malicious"
 
 
+# Bound once, so a verdict costs a global read on CPython 3.10 and 3.11,
+# where an enum class lookup goes through EnumType.__getattr__.
+FRIENDLY = Verdict.FRIENDLY
+MALICIOUS = Verdict.MALICIOUS
+
+
 @dataclass(frozen=True)
 class AdversaryModel:
     """Replay success probabilities available to a suspicious node.
@@ -141,7 +147,7 @@ def complete_verification(
         if n_keys < 1:
             raise ValueError("n_keys must be at least 1")
         passed = _sample_evasion(adversary, n_keys, rng)
-    return Verdict.FRIENDLY if passed else Verdict.MALICIOUS
+    return FRIENDLY if passed else MALICIOUS
 
 
 def detection_single(adv: AdversaryModel) -> float:

@@ -119,6 +119,47 @@ class TestReferenceRngs:
         assert rng1(s) == rng1(folded)
 
 
+class TestKeyExpansionMemo:
+    """``_rng96`` is memoised; the memo must not change any answer."""
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 128])
+    def test_refused_on_every_call(self, seed):
+        for rng in (rng1, rng2):
+            rng(5)  # a valid call just before
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    rng(seed)
+
+    def test_float_seed_equal_to_a_cached_int_is_still_refused(self):
+        rng1(1)
+        with pytest.raises(TypeError):
+            rng1(1.0)
+
+    def test_repeated_calls_match_the_oracle(self):
+        # More seeds than the memo holds, revisited in both orders, so
+        # answers come from hits, misses and evicted entries alike.
+        rnd = random.Random(11)
+        n = 3 * cipher.RNG96_CACHE_SIZE
+        seeds = [rnd.getrandbits(rnd.choice([16, 64, 128])) for _ in range(n)]
+        seeds += [0, 1, _M64, (1 << 128) - 1]
+        for order in (seeds, seeds[::-1], seeds):
+            for seed in order:
+                assert rng1(seed) == _oracle_rng(seed, 0x01)
+                assert rng2(seed) == _oracle_rng(seed, 0x02)
+
+    def test_memo_stays_within_its_bound_over_a_run(self):
+        from sectrack.config import ScenarioConfig
+        from sectrack.engine import run_scenario
+        from sectrack.scenarios import switching_config
+
+        cipher._rng96.cache_clear()
+        run_scenario(switching_config(ScenarioConfig(duration=60.0), 20.0, master_seed=1))
+        info = cipher._rng96.cache_info()
+        assert info.maxsize == cipher.RNG96_CACHE_SIZE
+        assert info.misses > info.maxsize  # the run expanded more keys than fit
+        assert 0 < info.currsize <= info.maxsize
+
+
 class TestSeedPair:
     def test_quantization(self):
         sp = SeedPair.from_measurements(100.7, 135.9, 42.3e-5, rtt_bucket=1e-5)

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from sectrack import mobility
+from sectrack import engine, mobility, protocol
 from sectrack.channel import MAX_BEAMS, ranging_noise_std
 from sectrack.config import ScenarioConfig
 from sectrack.engine import (
@@ -16,7 +16,9 @@ from sectrack.engine import (
     EventKind,
     EventQueue,
     Friendliness,
+    NodeState,
     Role,
+    SectorBeam,
     run_scenario,
 )
 from sectrack.geometry import Position
@@ -43,6 +45,63 @@ def quiet_cluster(**overrides) -> ScenarioConfig:
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+BOUND_MEMBERS = [
+    (module, member.name, enum_cls)
+    for module, enum_cls in (
+        (engine, Role),
+        (engine, Friendliness),
+        (engine, BeamState),
+        (engine, EventKind),
+        (protocol, protocol.Verdict),
+        (mobility, mobility.MobilityKind),
+    )
+    for member in enum_cls
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, enum_cls",
+    BOUND_MEMBERS,
+    ids=[f"{m.__name__}.{name}" for m, name, _ in BOUND_MEMBERS],
+)
+def test_module_binding_is_the_enum_member(module, name, enum_cls):
+    # The hot paths compare against these names; a swapped or stale
+    # binding would flip every ``is`` test that uses it.
+    assert getattr(module, name) is enum_cls[name]
+
+
+class TestBeamForTarget:
+    @staticmethod
+    def node(*states_and_targets) -> NodeState:
+        sectors = [
+            SectorBeam(owner=1, sector_index=k, beamwidth=90.0, state=state, target_id=target)
+            for k, (state, target) in enumerate(states_and_targets)
+        ]
+        mob = mobility.make_parallel_path(Position(0.0, 0.0), 0.0, 0.0)
+        return NodeState(id=1, role=Role.FRIENDLY_REFERENCE, mobility=mob, sectors=sectors)
+
+    def test_returns_the_tracking_or_scanning_beam_holding_the_target(self):
+        node = self.node(
+            (BeamState.IDLE, None),
+            (BeamState.TRACKING, 7),
+            (BeamState.SCANNING, 8),
+            (BeamState.IDLE, None),
+        )
+        assert node.beam_for_target(7) is node.sectors[1]
+        assert node.beam_for_target(8) is node.sectors[2]
+        assert node.beam_for_target(9) is None
+
+    def test_never_returns_an_idle_beam_with_a_stale_target(self):
+        node = self.node(
+            (BeamState.IDLE, 7),  # target_id left set by hand
+            (BeamState.IDLE, 8),
+            (BeamState.TRACKING, 7),
+            (BeamState.IDLE, None),
+        )
+        assert node.beam_for_target(7) is node.sectors[2]
+        assert node.beam_for_target(8) is None
 
 
 class TestEventQueue:
@@ -362,7 +421,7 @@ class TestSectorExclusivity:
         other = next(b for b in eng.nodes[1].sectors if b is not held)
         zone = eng._form_zone(eng.tracks[3])
         with pytest.raises(RuntimeError, match="node 1 has one target on two sectors"):
-            eng._point(other, 3, other.boresight, zone, eng.nodes[1].position)
+            eng._point(other, 3, zone, eng.nodes[1].position)
         assert other.state is BeamState.IDLE  # refused before anything was written
 
     def test_repointing_the_held_beam_is_allowed(self):
@@ -370,7 +429,7 @@ class TestSectorExclusivity:
         eng.run()
         held = eng.nodes[1].beam_for_target(3)
         zone = eng._form_zone(eng.tracks[3])
-        eng._point(held, 3, held.boresight, zone, eng.nodes[1].position)
+        eng._point(held, 3, zone, eng.nodes[1].position)
         assert held.state is BeamState.TRACKING and held.target_id == 3
 
     def test_multi_target_run_claims_no_duplicate(self):
