@@ -119,8 +119,10 @@ class SectorBeam:
 
 @dataclass
 class FriendRecord:
+    """The cluster head's relation with one screened neighbor."""
+
     status: Friendliness = UNKNOWN
-    since: float = 0.0
+    detected_at: float = 0.0  # time of the last MALICIOUS verdict; read only while MALICIOUS
     consecutive_failures: int = 0
     scanning: bool = False  # a scan owns this relation's recovery
 
@@ -131,16 +133,10 @@ class NodeState:
     role: Role
     mobility: mobility.MobilityState
     sectors: list[SectorBeam] = field(default_factory=list)
-    friendliness: dict[int, FriendRecord] = field(default_factory=dict)
 
     @property
     def position(self) -> Position:
         return self.mobility.position
-
-    def record_for(self, peer: int) -> FriendRecord:
-        if peer not in self.friendliness:
-            self.friendliness[peer] = FriendRecord()
-        return self.friendliness[peer]
 
     def beam_for_target(self, target: int) -> SectorBeam | None:
         # A SCANNING beam still belongs to its target's suspended track.
@@ -262,11 +258,15 @@ class Engine:
         self._movers: list[tuple[NodeState, np.random.Generator]] = []
         self._build_nodes(scene_rng)
         self.ch_node = self.nodes[0]
+        # Only the cluster head screens, so it alone holds relations.
+        self.relations: dict[int, FriendRecord] = {}
 
         self.tracks: dict[int, Track] = {}
         self._last_activation = float("-inf")
-        self._pending_failures = sorted(cfg.inject_failures)
-        self._consumed_failures = [False] * len(self._pending_failures)
+        # Scripted re-auth failures: ascending times per peer, consumed from the front.
+        self._failures: dict[int, list[float]] = {}
+        for after, peer in sorted(cfg.inject_failures):
+            self._failures.setdefault(peer, []).append(after)
 
         self.log = MetricsLog()
 
@@ -378,10 +378,10 @@ class Engine:
     # verification sweeps and verdicts
 
     def _forced_failure_pending(self, peer: int, t: float) -> bool:
-        for i, (after, target_peer) in enumerate(self._pending_failures):
-            if not self._consumed_failures[i] and target_peer == peer and after <= t:
-                self._consumed_failures[i] = True
-                return True
+        times = self._failures.get(peer)
+        if times and times[0] <= t:
+            times.pop(0)
+            return True
         return False
 
     def reauthentication_tick(self, t: float) -> None:
@@ -389,7 +389,7 @@ class Engine:
         for peer_id in sorted(self.nodes):
             if peer_id == self.ch_node.id:
                 continue
-            rec = self.ch_node.friendliness.get(peer_id)
+            rec = self.relations.get(peer_id)
             status = rec.status if rec else UNKNOWN
             if status is MALICIOUS:
                 continue
@@ -405,10 +405,9 @@ class Engine:
         peer_pos = peer.position
         d = distance(ch_pos, peer_pos)
         if d > self.cfg.range_limit:
-            rec = ch_node.friendliness.get(peer_id)
+            rec = self.relations.get(peer_id)
             if rec and rec.status is FRIENDLY:
                 rec.status = UNKNOWN
-                rec.since = t
                 self.log.friend_events.append(
                     FriendEvent(t, ch_node.id, peer_id, "out_of_range", 0.0)
                 )
@@ -461,13 +460,14 @@ class Engine:
     def _handle_verdict(self, t: float, payload: dict) -> None:
         peer_id = payload["peer"]
         verdict: protocol.Verdict = payload["verdict"]
-        rec = self.ch_node.record_for(peer_id)
+        rec = self.relations.get(peer_id)
+        if rec is None:
+            rec = self.relations[peer_id] = FriendRecord()
         self.log.verdicts.append(VerdictEvent(t, self.ch_node.id, peer_id, verdict.value))
 
         if verdict is protocol.FRIENDLY:
             was_unknown_after_fail = rec.consecutive_failures > 0
             rec.status = FRIENDLY
-            rec.since = t
             rec.consecutive_failures = 0
             rec.scanning = False
             self.log.friend_events.append(
@@ -479,7 +479,7 @@ class Engine:
 
         if not payload["honest"]:
             rec.status = MALICIOUS
-            rec.since = t
+            rec.detected_at = t
             self.log.friend_events.append(
                 FriendEvent(t, self.ch_node.id, peer_id, "detected_malicious", 0.0)
             )
@@ -487,7 +487,6 @@ class Engine:
 
         # Honest relation failed re-authentication: demote and scan.
         rec.status = UNKNOWN
-        rec.since = t
         rec.consecutive_failures += 1
         scan = SCAN_DURATION + (
             CONSECUTIVE_SCAN_PENALTY if rec.consecutive_failures >= 2 else 0.0
@@ -505,7 +504,8 @@ class Engine:
     def _handle_scan_done(self, t: float, payload: dict) -> None:
         if "peer" in payload:
             peer_id = payload["peer"]
-            self.ch_node.record_for(peer_id).scanning = False
+            # The reauth_fail verdict that started this scan made the record.
+            self.relations[peer_id].scanning = False
             self.log.friend_events.append(
                 FriendEvent(t, self.ch_node.id, peer_id, "scan_end", 0.0)
             )
@@ -527,7 +527,7 @@ class Engine:
                 self.switch_reference(track, peer_id, SwitchCause.FRIENDLINESS_LOST, t, reauth)
 
     def _is_friendly(self, node_id: int) -> bool:
-        rec = self.ch_node.friendliness.get(node_id)
+        rec = self.relations.get(node_id)
         return rec is not None and rec.status is FRIENDLY
 
     def _resume_tracks_awaiting(self, peer_id: int, t: float) -> None:
@@ -543,7 +543,9 @@ class Engine:
                 s.reauth = False  # fall back to assignment-pass retries
                 continue
             delay = t - s.at
-            self._record_switch(track, peer_id, peer_id, SwitchCause.FRIENDLINESS_LOST, t, delay)
+            self.log.switches.append(
+                SwitchEvent(t, track.target, peer_id, peer_id, SwitchCause.FRIENDLINESS_LOST, delay)
+            )
             self._reactivate(track, t)
             self.log.friend_events.append(
                 FriendEvent(t, survivor, track.target, "track_resume", delay)
@@ -554,9 +556,9 @@ class Engine:
 
     def _detected_targets(self) -> list[int]:
         out = []
-        for peer_id, rec in self.ch_node.friendliness.items():
+        for peer_id, rec in self.relations.items():
             if rec.status is MALICIOUS:
-                out.append((rec.since, peer_id))
+                out.append((rec.detected_at, peer_id))
         return [pid for _, pid in sorted(out)]
 
     def assign_targets(self, t: float) -> None:
@@ -590,7 +592,7 @@ class Engine:
             node = self.nodes[nid]
             if node.role is not FRIENDLY_REFERENCE or nid in exclude:
                 continue
-            rec = self.ch_node.friendliness.get(nid)
+            rec = self.relations.get(nid)
             if rec is None or rec.status is not FRIENDLY:
                 continue
             d = distance(node.position, around)
@@ -648,15 +650,9 @@ class Engine:
                 return True
         return False
 
-    def _form_zone(self, track: Track) -> TrackingZone:
-        return form_zone(
-            self.nodes[track.ref_a].position,
-            self.nodes[track.ref_b].position,
-            track.anchor,
-            self.cfg.v_max,
-            self.cfg.sample_interval,
-            self.zone_cfg,
-        )
+    def _form_zone(self, pos_a: Position, pos_b: Position, anchor: Position) -> TrackingZone:
+        cfg = self.cfg
+        return form_zone(pos_a, pos_b, anchor, cfg.v_max, cfg.sample_interval, self.zone_cfg)
 
     def _point(
         self,
@@ -736,9 +732,7 @@ class Engine:
             self.switch_reference(track, far, SwitchCause.OUT_OF_ZONE, t)
             return
 
-        zone = form_zone(
-            pos_a, pos_b, track.anchor, self.cfg.v_max, self.cfg.sample_interval, self.zone_cfg
-        )
+        zone = self._form_zone(pos_a, pos_b, track.anchor)
         if not self._reselect_sectors(track, zone, prediction, t, pos_a, pos_b):
             return
 
@@ -864,9 +858,7 @@ class Engine:
             # Rebuild the zone around the prediction and retry once.
             track.anchor = prediction
             track.anchor_time = t
-            rezone = form_zone(
-                pos_a, pos_b, prediction, self.cfg.v_max, self.cfg.sample_interval, self.zone_cfg
-            )
+            rezone = self._form_zone(pos_a, pos_b, prediction)
             try:
                 return triangulate(
                     pos_a, ranges[0], pos_b, ranges[1], rezone, eps_gap=self.cfg.eps_gap
@@ -939,9 +931,11 @@ class Engine:
         track.ref_a, track.ref_b = ref_a, ref_b
         track.anchor = self.nodes[track.target].position  # fresh detection fix
         track.anchor_time = t
-        zone = self._form_zone(track)
-        for beam in beams:
-            self._point(beam, track.target, zone, self.nodes[beam.owner].position)
+        pos_a = self.nodes[ref_a].position
+        pos_b = self.nodes[ref_b].position
+        zone = self._form_zone(pos_a, pos_b, track.anchor)
+        for beam, pos in zip(beams, (pos_a, pos_b)):
+            self._point(beam, track.target, zone, pos)
         return True
 
     def switch_reference(
@@ -986,8 +980,10 @@ class Engine:
             self._release_beams(track)
             if self._activate_track(track.target, t):
                 delay = t - s.at + self.cfg.auth_duration
-                new_track = self.tracks[track.target]
-                self._record_switch(new_track, s.failed_ref, new_track.ref_a, s.cause, t, delay)
+                new_ref = self.tracks[track.target].ref_a
+                self.log.switches.append(
+                    SwitchEvent(t, track.target, s.failed_ref, new_ref, s.cause, delay)
+                )
 
     def _apply_switch(
         self, track: Track, old_ref: int, new_ref: int, cause: SwitchCause, t: float
@@ -999,13 +995,8 @@ class Engine:
         delay = self.cfg.auth_duration
         if track.suspension is not None:
             delay += t - track.suspension.at
-        self._record_switch(track, old_ref, new_ref, cause, t, delay)
+        self.log.switches.append(SwitchEvent(t, track.target, old_ref, new_ref, cause, delay))
         self._reactivate(track, t)
-
-    def _record_switch(
-        self, track: Track, old: int, new: int, cause: SwitchCause, t: float, delay: float
-    ) -> None:
-        self.log.switches.append(SwitchEvent(t, track.target, old, new, cause, delay))
 
     def _reactivate(self, track: Track, t: float) -> None:
         track.suspension = None

@@ -262,14 +262,14 @@ class TestRunScenario:
         eng = Engine(quiet_cluster(duration=200.0))
         eng.run()
         for peer in (1, 2):
-            rec = eng.ch_node.friendliness[peer]
+            rec = eng.relations[peer]
             assert rec.status is Friendliness.FRIENDLY
             assert rec.consecutive_failures == 0
 
     def test_target_marked_malicious(self):
         eng = Engine(quiet_cluster(duration=100.0))
         eng.run()
-        assert eng.ch_node.friendliness[3].status is Friendliness.MALICIOUS
+        assert eng.relations[3].status is Friendliness.MALICIOUS
 
     def test_peer_beyond_range_never_screened(self):
         # Static reference 2 sits ~255 m from the cluster head at (200, 200).
@@ -278,7 +278,7 @@ class TestRunScenario:
         eng = Engine(cfg)
         log = eng.run()
         assert {ev.peer for ev in log.verdicts} == {1, 3}
-        assert 2 not in eng.ch_node.friendliness
+        assert 2 not in eng.relations
 
 
 class TestTrackingBehavior:
@@ -411,6 +411,32 @@ class TestFriendlinessTimers:
         ]
         assert ok_after and min(ok_after) >= fail_t + 20.0
 
+    def test_scripted_failures_are_consumed_per_peer(self):
+        # Listed out of order, and peer 2's 25 s failure falls due at the
+        # 25 s sweep before peer 1's 30 s one: a script shared by the peers
+        # would fail peer 1, screened first, at that sweep.
+        script = ((75.0, 2), (50.0, 1), (25.0, 2), (30.0, 1))
+        cfg = quiet_cluster(duration=150.0, inject_failures=script)
+        log = run_scenario(cfg)
+        for peer in (1, 2):
+            verdicts = [ev.t for ev in log.verdicts if ev.peer == peer]
+            fails = [
+                ev.t for ev in log.friend_events if ev.event == "reauth_fail" and ev.peer == peer
+            ]
+            # Each of the peer's own times fails the first of its screens
+            # that starts at or after it and after the previous failure; a
+            # verdict lands auth_duration (plus the exchange) after its start.
+            expected = []
+            for after in sorted(a for a, p in script if p == peer):
+                expected.append(
+                    next(
+                        v
+                        for v in verdicts
+                        if v - cfg.auth_duration >= after and (not expected or v > expected[-1])
+                    )
+                )
+            assert fails == expected, f"peer {peer}"
+
 
 class TestSectorExclusivity:
     def test_second_beam_on_a_tracked_target_is_refused(self):
@@ -419,7 +445,7 @@ class TestSectorExclusivity:
         held = eng.nodes[1].beam_for_target(3)
         assert held is not None and held.state is BeamState.TRACKING
         other = next(b for b in eng.nodes[1].sectors if b is not held)
-        zone = eng._form_zone(eng.tracks[3])
+        zone = eng._form_zone(eng.nodes[1].position, eng.nodes[2].position, eng.tracks[3].anchor)
         with pytest.raises(RuntimeError, match="node 1 has one target on two sectors"):
             eng._point(other, 3, zone, eng.nodes[1].position)
         assert other.state is BeamState.IDLE  # refused before anything was written
@@ -428,7 +454,7 @@ class TestSectorExclusivity:
         eng = Engine(quiet_cluster(duration=60.0))
         eng.run()
         held = eng.nodes[1].beam_for_target(3)
-        zone = eng._form_zone(eng.tracks[3])
+        zone = eng._form_zone(eng.nodes[1].position, eng.nodes[2].position, eng.tracks[3].anchor)
         eng._point(held, 3, zone, eng.nodes[1].position)
         assert held.state is BeamState.TRACKING and held.target_id == 3
 
