@@ -20,6 +20,8 @@ interoperate):
 from __future__ import annotations
 
 import functools
+import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 _MASK64 = (1 << 64) - 1
@@ -45,6 +47,12 @@ DEFAULT_RTT_BUCKET = 10e-6
 # 64 entries catch every such repeat; a larger memo would add only hits
 # across separate runs that share a seed.
 RNG96_CACHE_SIZE = 64
+
+# Payload lengths whose word unpacker xor_fold_digest keeps.  A challenge
+# uses two (one- and two-block packets); the bound keeps a caller that
+# folds many lengths from growing the table.
+WORD_UNPACKERS_SIZE = 16
+_WORD_UNPACKERS: dict[int, Callable[[bytes], tuple[int, ...]]] = {}
 
 
 class MalformedPacketError(ValueError):
@@ -265,9 +273,9 @@ def derive_initial_key(seeds: SeedPair, node_id: int, first_plain_seg: int) -> I
     if not 0 <= first_plain_seg <= _MASK96:
         raise ValueError("first_plain_seg must fit in 96 bits")
     return IntegratedKey(
-        k1=rng1(seeds.loc_seed),
-        k2=node_id & _MASK64,
-        k3=rng2(seeds.rtt_seed) ^ first_plain_seg,
+        _rng96(seeds.loc_seed, DOMAIN_RNG1),
+        node_id & _MASK64,
+        _rng96(seeds.rtt_seed, DOMAIN_RNG2) ^ first_plain_seg,
     )
 
 
@@ -276,9 +284,9 @@ def evolve_key(prev: IntegratedKey, node_id: int) -> IntegratedKey:
     # The halves of k1 || k2 || k3 split k2 in two: bits [0,128) are k1 and
     # k2's high 32 bits, bits [128,256) are k2's low 32 bits and k3.
     return IntegratedKey(
-        k1=rng1((prev.k1 << 32) | (prev.k2 >> 32)),
-        k2=node_id & _MASK64,
-        k3=rng2(((prev.k2 & 0xFFFFFFFF) << 96) | prev.k3),
+        _rng96((prev.k1 << 32) | (prev.k2 >> 32), DOMAIN_RNG1),
+        node_id & _MASK64,
+        _rng96(((prev.k2 & 0xFFFFFFFF) << 96) | prev.k3, DOMAIN_RNG2),
     )
 
 
@@ -291,26 +299,23 @@ def reconstruct_initial_key(
     plaintext segment from the ciphertext, and mixes that segment into k3
     exactly as the transmitter did.
     """
-    k1 = rng1(seeds.loc_seed)
+    k1 = _rng96(seeds.loc_seed, DOMAIN_RNG1)
     cipher_seg = int.from_bytes(cipher_first.payload[:K1_BYTES], "big")
     plain_seg = cipher_seg ^ k1
-    return IntegratedKey(
-        k1=k1,
-        k2=node_id & _MASK64,
-        k3=rng2(seeds.rtt_seed) ^ plain_seg,
-    )
+    return IntegratedKey(k1, node_id & _MASK64, _rng96(seeds.rtt_seed, DOMAIN_RNG2) ^ plain_seg)
 
 
 def _xor_with_keystream(payload: bytes, key: IntegratedKey) -> bytes:
     # The whole payload XORed as one big-endian integer, byte for byte the
     # same as XORing each byte with the repeated keystream block: k1, k2
-    # and k3 fill 96, 64 and 96 bits, so as_int() is that block read
+    # and k3 fill 96, 64 and 96 bits, so k1 || k2 || k3 is that block read
     # big-endian.  Packets hold at least one whole block.
     n = len(payload)
-    block = key.as_int()
-    stream = block
-    for _ in range(1, n // BLOCK_BYTES):
-        stream = (stream << (8 * BLOCK_BYTES)) | block
+    stream = (key.k1 << 160) | (key.k2 << 96) | key.k3
+    if n > BLOCK_BYTES:
+        block = stream
+        for _ in range(1, n // BLOCK_BYTES):
+            stream = (stream << (8 * BLOCK_BYTES)) | block
     return (int.from_bytes(payload, "big") ^ stream).to_bytes(n, "big")
 
 
@@ -320,31 +325,37 @@ def encrypt_packet(plain: EnsemblePacket, key: IntegratedKey) -> CipherPacket:
     The key repeats across blocks of the same packet; chains change keys
     per packet via :func:`evolve_key`.
     """
-    return CipherPacket(payload=_xor_with_keystream(plain.payload, key), index=plain.index)
+    return CipherPacket(_xor_with_keystream(plain.payload, key), plain.index)
 
 
 def decrypt_packet(cipher: CipherPacket, key: IntegratedKey) -> EnsemblePacket:
     """Exact inverse of :func:`encrypt_packet` (XOR is an involution)."""
-    return EnsemblePacket(payload=_xor_with_keystream(cipher.payload, key), index=cipher.index)
+    return EnsemblePacket(_xor_with_keystream(cipher.payload, key), cipher.index)
 
 
 def key_chain(first: IntegratedKey, node_id: int, length: int) -> list[IntegratedKey]:
     """The first `length` keys of a chain starting from `first`."""
     if length < 1:
         raise ValueError("chain length must be at least 1")
-    keys = [first]
-    while len(keys) < length:
-        keys.append(evolve_key(keys[-1], node_id))
+    key = first
+    keys = [key]
+    for _ in range(length - 1):
+        key = evolve_key(key, node_id)
+        keys.append(key)
     return keys
 
 
 def xor_fold_digest(payload: bytes) -> int:
     """64-bit XOR fold of a block-aligned payload, the challenge receipt."""
     _check_block_structure(payload)
-    # XOR of the big-endian 64-bit words, folded off one integer.
-    whole = int.from_bytes(payload, "big")
+    # XOR of the big-endian 64-bit words, unpacked in one struct call.
+    n = len(payload)
+    unpack = _WORD_UNPACKERS.get(n)
+    if unpack is None:
+        unpack = struct.Struct(f">{n // 8}Q").unpack
+        if len(_WORD_UNPACKERS) < WORD_UNPACKERS_SIZE:
+            _WORD_UNPACKERS[n] = unpack
     digest = 0
-    while whole:
-        digest ^= whole & _MASK64
-        whole >>= 64
+    for word in unpack(payload):
+        digest ^= word
     return digest

@@ -414,19 +414,20 @@ class Engine:
                 self._suspend_tracks_using(peer_id, t, reauth=False)
             return
 
-        # Preamble: two ping/echo exchanges so each side holds an RTT sample.
-        legs = []
-        t_cursor = t
-        endpoints = [(ch_pos, peer_pos), (peer_pos, ch_pos), (peer_pos, ch_pos), (ch_pos, peer_pos)]
-        for tx, rx in endpoints:
-            # Never None: propagate repeats the range test passed above.
-            arrival = ch.propagate(tx, rx, t_cursor, self.chan, self.rng_channel)
-            legs.append(arrival - t_cursor)
-            t_cursor = arrival
+        # Preamble: two ping/echo exchanges so each side holds an RTT sample:
+        # the initiator's ping and echo, then the candidate's.  Each arrival
+        # is never None: propagate repeats the range test passed above.
+        propagate = ch.propagate
+        chan = self.chan
+        rng = self.rng_channel
+        a1 = propagate(ch_pos, peer_pos, t, chan, rng)
+        a2 = propagate(peer_pos, ch_pos, a1, chan, rng)
+        a3 = propagate(peer_pos, ch_pos, a2, chan, rng)
+        t_cursor = propagate(ch_pos, peer_pos, a3, chan, rng)
         # timestamp noise can push a near-field RTT below zero; both sides
         # clamp into the first quantization bucket
-        rtt_initiator = max(legs[0] + legs[1], 0.0)
-        rtt_candidate = max(legs[2] + legs[3], 0.0)
+        rtt_initiator = max((a1 - t) + (a2 - a1), 0.0)
+        rtt_candidate = max((a3 - a2) + (t_cursor - a3), 0.0)
 
         # Location seed from the positions carried in the preamble; both
         # sides quantize the initiator->candidate distance and bearing.

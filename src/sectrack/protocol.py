@@ -77,6 +77,11 @@ def _run_honest_challenge(
     rng: np.random.Generator,
 ) -> bool:
     """Drive the real cipher on both ends; True iff every packet validates."""
+    # Bound per call, never at import, so a wrapper installed on the
+    # module attribute (the benchmark's tracer) still sees every call.
+    encrypt = cipher.encrypt_packet
+    decrypt = cipher.decrypt_packet
+    fold = cipher.xor_fold_digest
     payloads = _challenge_payloads(j_max, rng)
 
     tx_key = cipher.derive_initial_key(
@@ -84,8 +89,8 @@ def _run_honest_challenge(
     )
     tx_keys = cipher.key_chain(tx_key, initiator_id, j_max)
     cipher_packets = [
-        cipher.encrypt_packet(EnsemblePacket(p, index=j + 1), tx_keys[j])
-        for j, p in enumerate(payloads)
+        encrypt(EnsemblePacket(p, j), key)
+        for j, (p, key) in enumerate(zip(payloads, tx_keys), 1)
     ]
 
     # Receiver side: reconstruct from its own seeds and the initiator's id.
@@ -94,9 +99,8 @@ def _run_honest_challenge(
     rx_key = cipher.reconstruct_initial_key(cipher_packets[0], candidate_seeds, initiator_id)
     rx_keys = tx_keys if rx_key == tx_key else cipher.key_chain(rx_key, initiator_id, j_max)
 
-    for j, cpkt in enumerate(cipher_packets):
-        recovered = cipher.decrypt_packet(cpkt, rx_keys[j])
-        if cipher.xor_fold_digest(recovered.payload) != cipher.xor_fold_digest(payloads[j]):
+    for p, cpkt, key in zip(payloads, cipher_packets, rx_keys):
+        if fold(decrypt(cpkt, key).payload) != fold(p):
             return False
     return True
 

@@ -309,6 +309,42 @@ class TestWholeIntegerHotPaths:
         with pytest.raises(MalformedPacketError):
             cipher.xor_fold_digest(b"")
 
+    @staticmethod
+    def _shift_loop_fold(payload):
+        # Reference fold: 64-bit words shifted off one big-endian integer.
+        whole = int.from_bytes(payload, "big")
+        digest = 0
+        while whole:
+            digest ^= whole & _M64
+            whole >>= 64
+        return digest
+
+    @pytest.mark.parametrize("blocks", range(1, 9))
+    def test_fold_matches_shift_loop(self, blocks):
+        rnd = random.Random(24 + blocks)
+        n = 32 * blocks
+        payloads = [rnd.randbytes(n) for _ in range(50)]
+        payloads += [bytes(n), b"\xff" * n]
+        for word in range(n // 8):
+            for bit in (0, 63, rnd.randrange(64)):
+                one = bytearray(n)
+                one[8 * word + bit // 8] = 0x80 >> (bit % 8)
+                payloads.append(bytes(one))
+        for payload in payloads:
+            assert cipher.xor_fold_digest(payload) == self._shift_loop_fold(payload)
+
+    def test_fold_unpacker_table_stays_within_its_bound(self):
+        rnd = random.Random(33)
+        for blocks in range(1, cipher.WORD_UNPACKERS_SIZE + 9):
+            payload = rnd.randbytes(32 * blocks)
+            assert cipher.xor_fold_digest(payload) == self._shift_loop_fold(payload)
+        assert len(cipher._WORD_UNPACKERS) <= cipher.WORD_UNPACKERS_SIZE
+
+    @pytest.mark.parametrize("n", (0, 31, 33, 65))
+    def test_fold_rejects_unaligned_payloads(self, n):
+        with pytest.raises(MalformedPacketError):
+            cipher.xor_fold_digest(bytes(n))
+
     def test_evolve_matches_half_accessors(self):
         rnd = random.Random(23)
         keys = [self._random_key(rnd) for _ in range(200)]
