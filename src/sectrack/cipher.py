@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import struct
-from collections.abc import Callable
 from dataclasses import dataclass
 
 _MASK64 = (1 << 64) - 1
@@ -47,12 +46,6 @@ DEFAULT_RTT_BUCKET = 10e-6
 # 64 entries catch every such repeat; a larger memo would add only hits
 # across separate runs that share a seed.
 RNG96_CACHE_SIZE = 64
-
-# Payload lengths whose word unpacker xor_fold_digest keeps.  A challenge
-# uses two (one- and two-block packets); the bound keeps a caller that
-# folds many lengths from growing the table.
-WORD_UNPACKERS_SIZE = 16
-_WORD_UNPACKERS: dict[int, Callable[[bytes], tuple[int, ...]]] = {}
 
 
 class MalformedPacketError(ValueError):
@@ -311,11 +304,10 @@ def _xor_with_keystream(payload: bytes, key: IntegratedKey) -> bytes:
     # and k3 fill 96, 64 and 96 bits, so k1 || k2 || k3 is that block read
     # big-endian.  Packets hold at least one whole block.
     n = len(payload)
-    stream = (key.k1 << 160) | (key.k2 << 96) | key.k3
-    if n > BLOCK_BYTES:
-        block = stream
-        for _ in range(1, n // BLOCK_BYTES):
-            stream = (stream << (8 * BLOCK_BYTES)) | block
+    block = (key.k1 << 160) | (key.k2 << 96) | key.k3
+    stream = block
+    for _ in range(1, n // BLOCK_BYTES):
+        stream = (stream << (8 * BLOCK_BYTES)) | block
     return (int.from_bytes(payload, "big") ^ stream).to_bytes(n, "big")
 
 
@@ -337,11 +329,9 @@ def key_chain(first: IntegratedKey, node_id: int, length: int) -> list[Integrate
     """The first `length` keys of a chain starting from `first`."""
     if length < 1:
         raise ValueError("chain length must be at least 1")
-    key = first
-    keys = [key]
-    for _ in range(length - 1):
-        key = evolve_key(key, node_id)
-        keys.append(key)
+    keys = [first]
+    while len(keys) < length:
+        keys.append(evolve_key(keys[-1], node_id))
     return keys
 
 
@@ -349,13 +339,14 @@ def xor_fold_digest(payload: bytes) -> int:
     """64-bit XOR fold of a block-aligned payload, the challenge receipt."""
     _check_block_structure(payload)
     # XOR of the big-endian 64-bit words, unpacked in one struct call.
-    n = len(payload)
-    unpack = _WORD_UNPACKERS.get(n)
-    if unpack is None:
-        unpack = struct.Struct(f">{n // 8}Q").unpack
-        if len(_WORD_UNPACKERS) < WORD_UNPACKERS_SIZE:
-            _WORD_UNPACKERS[n] = unpack
     digest = 0
-    for word in unpack(payload):
+    for word in _word_struct(len(payload)).unpack(payload):
         digest ^= word
     return digest
+
+
+@functools.lru_cache
+def _word_struct(n: int) -> struct.Struct:
+    # One layout per payload length, cached: formatting it on every call
+    # made the fold no faster than the shift loop it replaced.
+    return struct.Struct(f">{n >> 3}Q")
