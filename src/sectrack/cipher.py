@@ -347,6 +347,6 @@ def xor_fold_digest(payload: bytes) -> int:
 
 @functools.lru_cache
 def _word_struct(n: int) -> struct.Struct:
-    # One layout per payload length, cached: formatting it on every call
-    # made the fold no faster than the shift loop it replaced.
+    # Cached per payload length: formatting the layout on every call
+    # costs about as much as unpacking the words saves.
     return struct.Struct(f">{n >> 3}Q")
