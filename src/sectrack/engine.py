@@ -564,15 +564,13 @@ class Engine:
 
     def assign_targets(self, t: float) -> None:
         """Pair detected targets with references; retry suspended tracks."""
-        # Retry suspended tracks whose scans have run dry; tracks still
-        # waiting on a relation re-auth get a fallback retry once the scan
-        # window has clearly lapsed without recovery.
+        # Retry suspended tracks whose scans have run dry.  Tracks still
+        # waiting on a relation re-auth retry after SCAN_DURATION like the
+        # others.
         for target in sorted(self.tracks):
             track = self.tracks[target]
             s = track.suspension
             if s is None or t < s.at + SCAN_DURATION:
-                continue
-            if s.reauth and t - s.at < SCAN_DURATION:
                 continue
             self._try_switch(track, t)
 

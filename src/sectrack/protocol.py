@@ -186,6 +186,12 @@ def monte_carlo_detection(
     lie in [0, 1): with any probability at 1.0 that replay always
     succeeds, no check ever detects, and the rate is 0.0; with all three
     at 0.0 every replay fails, every trial detects, and the rate is 1.0.
+
+    Only the replays with a nonzero probability are compared: ``u >= 0``
+    always holds, so a zero column can never clear a catch.  A trial's n
+    key flags are counted as words: their bytes are read as n // w unsigned
+    words of the largest w in 8, 4, 2 and 1 that divides n, OR-ed
+    together and counted when nonzero.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -199,6 +205,10 @@ def monte_carlo_detection(
         return 0.0
     if not any(probabilities):
         return 1.0
+    # A replay fails exactly when not (u < p), i.e. u >= p.  The all-zero
+    # case has returned, so at least one live column is left.
+    (first, p_first), *rest = [(col, p) for col, p in enumerate(probabilities) if p]
+    w = next(w for w in (8, 4, 2, 1) if n % w == 0)
     block = min(trials, MC_BLOCK_TRIALS)
     draws = np.empty((block * n, 3))
     caught = np.empty(block * n, dtype=bool)
@@ -208,14 +218,13 @@ def monte_carlo_detection(
         rows = min(block, trials - start) * n
         u, key_caught, replay_failed = draws[:rows], caught[:rows], failed[:rows]
         rng.random(out=u)
-        # A replay fails exactly when not (u < p), i.e. u >= p.
-        np.greater_equal(u[:, 0], adv.p_wh, out=key_caught)
-        for col, p in ((1, adv.p_i), (2, adv.p_r)):
+        np.greater_equal(u[:, first], p_first, out=key_caught)
+        for col, p in rest:
             np.greater_equal(u[:, col], p, out=replay_failed)
             key_caught &= replay_failed
-        keys = key_caught.reshape(-1, n)
-        hit = keys[:, 0].copy()
-        for k in range(1, n):
-            hit |= keys[:, k]
+        words = key_caught.view(f"u{w}").reshape(-1, n // w)
+        hit = words[:, 0].copy()
+        for k in range(1, n // w):
+            hit |= words[:, k]
         detected += int(np.count_nonzero(hit))
     return detected / trials

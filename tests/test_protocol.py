@@ -249,12 +249,15 @@ INTERIOR = [
     AdversaryModel(0.5, 0.5, 0.5),
     AdversaryModel(0.75, 0.0, 0.25),
     AdversaryModel(0.25, 1.0, 0.5),
+    AdversaryModel(0.5, 0.0, 0.0),
+    AdversaryModel(0.0, 0.0, 0.25),
+    AdversaryModel(0.25, -0.0, 0.5),
 ]
 
 
 class TestMonteCarloBlocks:
     @pytest.mark.parametrize("trials", [1, B - 1, B, B + 1, 3 * B + 17])
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12, 16])
     def test_matches_whole_array_draw(self, n, trials):
         for i, adv in enumerate(CORNERS + INTERIOR):
             seed = 1000 * n + i

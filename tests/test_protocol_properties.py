@@ -24,7 +24,7 @@ probability = st.one_of(st.sampled_from(DETECTION_GRID), st.floats(0.0, 1.0))
     p_wh=probability,
     p_i=probability,
     p_r=probability,
-    n=st.integers(1, 10),
+    n=st.integers(1, 16),
     trials=st.integers(1, 3 * MC_BLOCK_TRIALS),
     seed=st.integers(0, 2**64 - 1),
 )
@@ -33,6 +33,7 @@ probability = st.one_of(st.sampled_from(DETECTION_GRID), st.floats(0.0, 1.0))
 @example(p_wh=0.25, p_i=0.5, p_r=0.75, n=8, trials=MC_BLOCK_TRIALS + 1, seed=2)
 @example(p_wh=0.25, p_i=1.0, p_r=0.0, n=3, trials=2 * MC_BLOCK_TRIALS + 5, seed=3)
 @example(p_wh=0.0, p_i=0.0, p_r=0.0, n=7, trials=MC_BLOCK_TRIALS + 9, seed=4)
+@example(p_wh=0.0, p_i=0.75, p_r=0.0, n=12, trials=MC_BLOCK_TRIALS + 3, seed=5)
 def test_blocked_draws_equal_whole_array_draw(p_wh, p_i, p_r, n, trials, seed):
     adv = AdversaryModel(p_wh, p_i, p_r)
     expected = oracle_monte_carlo(adv, n, trials, np.random.default_rng(seed))
