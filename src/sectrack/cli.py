@@ -50,11 +50,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config, overrides)
+        return run(cfg.scenario, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    return run(cfg.scenario, cfg, args.out)
 
 
 if __name__ == "__main__":

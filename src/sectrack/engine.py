@@ -797,6 +797,12 @@ class Engine:
     ) -> bool:
         """Point both references' beams at the predicted bearing.
 
+        A beam already TRACKING the target in the wanted sector is held
+        and left alone: only ``_point`` makes a beam TRACKING or gives it a
+        target, so it was checked and sized when it was claimed.  A beam
+        is claimed when it starts tracking the target: a first claim, a
+        move to another sector, or a SCANNING survivor that resumes.
+
         Returns False when a needed sector is busy with another track and
         the reference had to be switched (sector contention).
         """
@@ -804,6 +810,8 @@ class Engine:
             node = self.nodes[ref_id]
             want = sector_of(bearing_deg(pos, prediction), self.cfg.sectors)
             beam = node.beam_for_target(track.target)
+            if beam is not None and beam.sector_index == want and beam.state is TRACKING:
+                continue
             if beam is None or beam.sector_index != want:
                 dest = node.sectors[want]
                 if dest.state is TRACKING and dest.target_id != track.target:
@@ -876,7 +884,7 @@ class Engine:
         pos_b: Position,
     ) -> Position:
         """Prefer the candidate whose bearing matches the claimed sector."""
-        # Never None: _reselect_sectors pointed this beam in the same tick.
+        # Never None: _reselect_sectors held or pointed this beam in the same tick.
         beam = self.nodes[track.ref_a].beam_for_target(track.target)
         points = circle_intersections(pos_a, ranges[0], pos_b, ranges[1])
         matching = [

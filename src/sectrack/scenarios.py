@@ -16,7 +16,7 @@ from pathlib import Path
 from sectrack import protocol
 from sectrack.channel import received_energy
 from sectrack.cipher import derive_stream_seed
-from sectrack.config import SCENARIO_NAMES, ScenarioConfig, echo_config
+from sectrack.config import SCENARIO_NAMES, ConfigError, ScenarioConfig, echo_config
 from sectrack.engine import run_scenario
 from sectrack.geometry import Position
 from sectrack.metrics import MetricsLog, plt_efficiency, switching_overhead, write_csv
@@ -26,6 +26,9 @@ DETECTION_KEY_COUNTS = (1, 2, 4, 8)
 ENERGY_BEAM_SWEEP = range(1, 9)
 # Side of the area the fixed multi-target and trajectory layouts are drawn for.
 LAYOUT_SIDE = 400.0
+# Smallest area the friendliness cluster fits: its references sit 40 m
+# either side of the cluster head, which is at least 40 m from the edge.
+FRIENDLINESS_MIN_SIDE = 80.0
 
 
 def run_detection(cfg: ScenarioConfig) -> MetricsLog:
@@ -195,8 +198,10 @@ def friendliness_config(cfg: ScenarioConfig) -> ScenarioConfig:
     The cluster sits at (200, 200), moved toward the origin just far
     enough to fit a smaller area; its spacing is kept, since a shrunken
     target would fall inside the reference pair's baseline margin.  The
-    layout therefore fits only areas of at least 80 m.
+    layout therefore fits only areas of at least FRIENDLINESS_MIN_SIDE,
+    and a smaller one is refused.
     """
+    _check_friendliness_area(cfg)
     cx = min(200.0, cfg.area_side - 40.0)
     cy = min(200.0, cfg.area_side - 60.0)
     placements = {
@@ -217,6 +222,14 @@ def friendliness_config(cfg: ScenarioConfig) -> ScenarioConfig:
     )
 
 
+def _check_friendliness_area(cfg: ScenarioConfig) -> None:
+    if cfg.area_side < FRIENDLINESS_MIN_SIDE:
+        raise ConfigError(
+            f"the friendliness layout needs an 'area_side' of at least "
+            f"{FRIENDLINESS_MIN_SIDE:g} m, got {cfg.area_side:g}"
+        )
+
+
 def run_friendliness(cfg: ScenarioConfig) -> MetricsLog:
     return run_scenario(friendliness_config(cfg))
 
@@ -228,7 +241,13 @@ def _write_summary(path: Path, rows: list[tuple[float, int, float]]) -> None:
 
 
 def run(scenario_name: str, cfg: ScenarioConfig, out_dir: str | Path) -> int:
-    """Dispatch one named scenario (or `all`); 0 iff every output landed."""
+    """Dispatch one named scenario (or `all`); 0 iff every output landed.
+
+    Raises ConfigError, before writing anything, when the area is too
+    small for the friendliness layout and that scenario would run.
+    """
+    if scenario_name in ("all", "friendliness"):
+        _check_friendliness_area(cfg)
     out = Path(out_dir)
     try:
         if scenario_name == "all":

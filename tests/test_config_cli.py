@@ -269,6 +269,14 @@ class TestCli:
         assert "'master_seed'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("scenario", ["friendliness", "all"])
+    def test_area_too_small_for_the_friendliness_layout(self, tmp_path, capsys, scenario):
+        argv = ["--scenario", scenario, "--out", str(tmp_path), "--set", "sim.area_side=79"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "80 m" in err
+        assert not any(tmp_path.iterdir())
+
     def test_set_flag_validation_error(self, tmp_path):
         assert main([
             "--scenario", "energy", "--out", str(tmp_path),

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 
 import pytest
 
@@ -465,6 +467,103 @@ class TestSectorExclusivity:
         for node in eng.nodes.values():
             targets = [b.target_id for b in node.sectors if b.state is BeamState.TRACKING]
             assert len(targets) == len(set(targets))
+
+
+def _attribute_writes(attr: str) -> list[tuple[str, str]]:
+    """(function, assigned source) of every write to ``.attr`` in engine.py,
+    including keyword arguments of that name in calls."""
+    writes: list[tuple[str, str]] = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self) -> None:
+            self.scope = ["<module>"]
+
+        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def _record(self, targets: list[ast.expr], value: ast.expr | None) -> None:
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr == attr:
+                        source = ast.unparse(value) if value is not None else "?"
+                        writes.append((self.scope[-1], source))
+
+        def visit_Assign(self, node: ast.Assign) -> None:
+            self._record(node.targets, node.value)
+            self.generic_visit(node)
+
+        def visit_AugAssign(self, node: ast.AugAssign) -> None:
+            self._record([node.target], None)
+            self.generic_visit(node)
+
+        def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+            self._record([node.target], node.value)
+            self.generic_visit(node)
+
+        def visit_Call(self, node: ast.Call) -> None:
+            for kw in node.keywords:
+                if kw.arg == attr:
+                    writes.append((self.scope[-1], ast.unparse(kw.value)))
+            if isinstance(node.func, ast.Name) and node.func.id == "setattr":
+                writes.append((self.scope[-1], "setattr"))
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(inspect.getsource(engine)))
+    return writes
+
+
+class TestBeamClaims:
+    """A beam is pointed and sized when it is claimed, never on a later tick."""
+
+    def test_only_point_makes_a_beam_tracking_or_gives_it_a_target(self):
+        # A held beam cannot have changed state or target since _point
+        # checked its exclusivity, which is why a tick leaves it alone.
+        state_writes = _attribute_writes("state")
+        assert ("_point", "TRACKING") in state_writes
+        assert {fn for fn, value in state_writes if value not in ("IDLE", "SCANNING")} == {
+            "_point"
+        }
+        assert {fn for fn, _ in _attribute_writes("target_id")} == {"_point", "release"}
+
+    def test_claims_size_beams_once_not_per_tick(self, monkeypatch):
+        calls = {"beamwidth_for_zone": 0, "_point": 0, "tracking_tick": 0}
+
+        def counted(fn, name):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            engine, "beamwidth_for_zone", counted(engine.beamwidth_for_zone, "beamwidth_for_zone")
+        )
+        monkeypatch.setattr(Engine, "_point", counted(Engine._point, "_point"))
+        monkeypatch.setattr(Engine, "tracking_tick", counted(Engine.tracking_tick, "tracking_tick"))
+        Engine(multi_target_config(ScenarioConfig(master_seed=1), master_seed=41)).run()
+        assert calls["tracking_tick"] > 0
+        assert calls["beamwidth_for_zone"] == calls["_point"]
+        # Re-claiming both beams on every tick would size 2 per tick.
+        assert calls["_point"] * 4 < 2 * calls["tracking_tick"]
+
+    def test_a_tick_leaves_a_held_beam_alone(self, monkeypatch):
+        eng = Engine(quiet_cluster(duration=60.0))
+        eng.run()
+        track = eng.tracks[3]
+        beams = [eng.nodes[rid].beam_for_target(3) for rid in (track.ref_a, track.ref_b)]
+        before = [(b.state, b.target_id, b.sector_index, b.beamwidth) for b in beams]
+        assert all(state is BeamState.TRACKING for state, *_ in before)
+
+        def no_claim(*args):
+            raise AssertionError("a held beam was claimed again")
+
+        monkeypatch.setattr(Engine, "_point", no_claim)
+        fixes = len(track.record.estimates)
+        eng.tracking_tick(track, eng.cfg.duration + eng.cfg.sample_interval)
+        assert len(track.record.estimates) == fixes + 1  # the tick ran to a fix
+        assert [(b.state, b.target_id, b.sector_index, b.beamwidth) for b in beams] == before
 
 
 class TestPerConfigTables:

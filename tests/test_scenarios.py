@@ -7,12 +7,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from sectrack.config import ScenarioConfig, parse_config
+from sectrack.config import ConfigError, ScenarioConfig, parse_config
 from sectrack.cipher import derive_stream_seed
 from sectrack.engine import Engine
 from sectrack.geometry import Position
 from sectrack.metrics import switching_overhead
 from sectrack.scenarios import (
+    FRIENDLINESS_MIN_SIDE,
     friendliness_config,
     multi_target_config,
     run_detection,
@@ -132,7 +133,7 @@ class TestLayoutsScaleWithTheArea:
 
 
 class TestFriendlinessLayoutFitsTheArea:
-    @pytest.mark.parametrize("side", [100.0, 200.0])
+    @pytest.mark.parametrize("side", [FRIENDLINESS_MIN_SIDE, 100.0, 200.0])
     def test_smaller_area_keeps_every_estimate(self, side):
         cfg = friendliness_config(ScenarioConfig(master_seed=1, area_side=side))
         for pos in cfg.placements.values():
@@ -146,6 +147,20 @@ class TestFriendlinessLayoutFitsTheArea:
         ]
         assert counts[0] == counts[1] > 0
 
+    @pytest.mark.parametrize("scenario", ["friendliness", "all"])
+    def test_smaller_area_is_refused_before_any_output(self, scenario, tmp_path):
+        cfg = ScenarioConfig(master_seed=1, area_side=FRIENDLINESS_MIN_SIDE - 1.0)
+        with pytest.raises(ConfigError, match="at least 80 m"):
+            run_named(scenario, cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="at least 80 m"):
+            friendliness_config(cfg)
+
+    def test_other_scenarios_still_run_in_a_small_area(self, tmp_path):
+        cfg = ScenarioConfig(master_seed=1, area_side=50.0, duration=20.0)
+        assert run_named("trajectory", cfg, tmp_path) == 0
+        Engine(cfg)  # the engine's own validation has no layout minimum
+
     def test_large_areas_keep_the_drawn_layout(self):
         drawn = friendliness_config(ScenarioConfig(master_seed=1)).placements
         assert drawn[0] == Position(200.0, 200.0)
@@ -155,7 +170,9 @@ class TestFriendlinessLayoutFitsTheArea:
 # SHA-256 of every output file at master seed 2, taken before the tracking
 # tick was reworked (the trajectory tree: before mobility steps were
 # batched).  bench/golden.json pins seed 1 only, so these hold the
-# engine to its bytes on a seed the benchmark never checks.
+# engine to its bytes on a seed the benchmark never checks.  The
+# multi-target entry is the benchmark's tracking-dense workload, where
+# tracking ticks (and so beam claims) are densest.
 HELD_OUT_TREES = {
     "multi-target": (
         {"sim.sample_interval": "1.0", "sim.seeds": "4"},
