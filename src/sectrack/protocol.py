@@ -13,6 +13,7 @@ directly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,15 @@ MC_BLOCK_TRIALS = 4096
 """Trials per block of :func:`monte_carlo_detection`; bounds its memory."""
 
 
+def _replay_fail_threshold(p: float) -> np.uint64:
+    """The least PCG64 word x whose ``Generator.random`` double is >= p.
+
+    For p in (0, 1).  The result is a uint64 scalar, so that no numpy
+    version promotes the compare with a uint64 array to float.
+    """
+    return np.uint64(math.ceil(p * 2.0**53) << 11)
+
+
 def monte_carlo_detection(
     adv: AdversaryModel,
     n: int,
@@ -177,10 +187,14 @@ def monte_carlo_detection(
     Each trial runs n key checks; a check detects when none of the three
     replays succeeds, and the trial detects when at least one check does.
 
-    The uniforms come ``MC_BLOCK_TRIALS`` trials at a time into one reused
-    buffer.  Each double is one generator output, so the draws and the
-    result equal those of one ``rng.random((trials, n, 3)) < [p_wh, p_i,
-    p_r]`` draw, while memory does not grow with ``trials``.
+    The draws are raw PCG64 output words, ``MC_BLOCK_TRIALS`` trials at a
+    time, so memory does not grow with ``trials``.  ``Generator.random``
+    turns the word x into the double ``u = (x >> 11) * 2**-53``, so a
+    replay fails (``u >= p``) exactly when ``x >= ceil(p * 2**53) << 11``;
+    ``p * 2**53`` is exact for every double p in (0, 1).  Each word is
+    compared with that integer threshold, and the result equals that of
+    one ``rng.random((trials, n, 3)) < [p_wh, p_i, p_r]`` draw with
+    ``rng = default_rng(rng_seed)``.
 
     Some outcomes are certain and return without drawing.  The uniforms
     lie in [0, 1): with any probability at 1.0 that replay always
@@ -197,31 +211,32 @@ def monte_carlo_detection(
         raise ValueError("trials must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
-    # For an int this is default_rng(rng_seed); unlike default_rng, it
-    # refuses a Generator with TypeError instead of passing it through.
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    # The bit generator of default_rng(rng_seed); its SeedSequence refuses
+    # a Generator with TypeError instead of passing it through.
+    bits = np.random.PCG64(rng_seed)
     probabilities = (adv.p_wh, adv.p_i, adv.p_r)
     if 1.0 in probabilities:
         return 0.0
     if not any(probabilities):
         return 1.0
-    # A replay fails exactly when not (u < p), i.e. u >= p.  The all-zero
-    # case has returned, so at least one live column is left.
-    (first, p_first), *rest = [(col, p) for col, p in enumerate(probabilities) if p]
+    # The all-zero case has returned, so at least one live column is left.
+    (first, t_first), *rest = [
+        (col, _replay_fail_threshold(p)) for col, p in enumerate(probabilities) if p
+    ]
     w = next(w for w in (8, 4, 2, 1) if n % w == 0)
     block = min(trials, MC_BLOCK_TRIALS)
-    draws = np.empty((block * n, 3))
     caught = np.empty(block * n, dtype=bool)
     failed = np.empty(block * n, dtype=bool)
     detected = 0
     for start in range(0, trials, block):
         rows = min(block, trials - start) * n
-        u, key_caught, replay_failed = draws[:rows], caught[:rows], failed[:rows]
-        rng.random(out=u)
-        np.greater_equal(u[:, first], p_first, out=key_caught)
-        for col, p in rest:
-            np.greater_equal(u[:, col], p, out=replay_failed)
+        key_caught, replay_failed = caught[:rows], failed[:rows]
+        x = bits.random_raw(rows * 3).reshape(rows, 3)
+        np.greater_equal(x[:, first], t_first, out=key_caught)
+        for col, t in rest:
+            np.greater_equal(x[:, col], t, out=replay_failed)
             key_caught &= replay_failed
+        del x  # random_raw has no out=; free this block before the next draw
         words = key_caught.view(f"u{w}").reshape(-1, n // w)
         hit = words[:, 0].copy()
         for k in range(1, n // w):

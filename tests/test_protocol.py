@@ -15,6 +15,7 @@ from sectrack.protocol import (
     AdversaryModel,
     Verdict,
     _challenge_payloads,
+    _replay_fail_threshold,
     _run_honest_challenge,
     complete_verification,
     detection_rate,
@@ -270,6 +271,37 @@ class TestMonteCarloBlocks:
         adv = AdversaryModel(*np.random.default_rng(11).random(3))
         assert oracle_monte_carlo(adv, 1, 1, np.random.default_rng(11)) == 1.0
         assert monte_carlo_detection(adv, 1, 1, 11) == 1.0
+
+    # Seed 11's first double u0 = k * 2**-53 lies in [0.125, 0.25), so both
+    # of its float neighbours fall between multiples of 2**-53.
+    U0 = float(np.random.default_rng(11).random())
+    THRESHOLD_PROBABILITIES = [
+        U0,
+        float(np.nextafter(U0, 0.0)),
+        float(np.nextafter(U0, 1.0)),
+        5e-324,
+        1.0 - 2.0**-53,
+        0.1,
+    ]
+
+    @pytest.mark.parametrize("p", THRESHOLD_PROBABILITIES)
+    def test_word_threshold_equals_double_compare(self, p):
+        words = np.random.PCG64(11).random_raw(20_000)
+        doubles = np.random.Generator(np.random.PCG64(11)).random(20_000)
+        assert np.array_equal(words >= _replay_fail_threshold(p), doubles >= p)
+
+    def test_word_threshold_at_ties_and_extremes(self):
+        # The first draw equals u0, and a draw equal to p is a failed replay,
+        # so that word fails at u0 and its lower neighbour, not the upper.
+        word = int(np.random.PCG64(11).random_raw())
+        u0, below, above = self.THRESHOLD_PROBABILITIES[:3]
+        assert 0.125 <= u0 < 0.25 and u0 * 2.0**53 == word >> 11
+        assert _replay_fail_threshold(u0) == (word >> 11) << 11 <= word
+        assert word >= _replay_fail_threshold(below)
+        assert word < _replay_fail_threshold(above)
+        assert isinstance(_replay_fail_threshold(0.1), np.uint64)
+        assert _replay_fail_threshold(5e-324) == 2**11
+        assert _replay_fail_threshold(1.0 - 2.0**-53) == 2**64 - 2**11
 
     @pytest.mark.parametrize("adv", [CORNERS[0], INTERIOR[0]])
     def test_generator_rejected(self, adv):
