@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sectrack.geometry import Position
+from sectrack.geometry import Position, distance
 
 # Largest beam count the energy model must stay positive for.
 MAX_BEAMS = 8
@@ -85,7 +85,7 @@ def propagate(
     The stamp carries Gaussian noise of std sigma_t (defaulting to the
     config's); non-delivery is a normal outcome, not an error.
     """
-    d = math.hypot(rx[0] - tx[0], rx[1] - tx[1])
+    d = distance(tx, rx)
     if d > cfg.range_limit:
         return None
     sigma = cfg.sigma_t if sigma_t is None else sigma_t

@@ -36,13 +36,21 @@ class Position(NamedTuple):
     y: float
 
 
-def distance(a: Position, b: Position) -> float:
-    return math.hypot(b[0] - a[0], b[1] - a[1])
+# Euclidean distance between two points, in C.  For float coordinates
+# math.dist(a, b) is the same double as math.hypot(b[0] - a[0], b[1] - a[1]),
+# NaN and inf included: both pass the fabs of each coordinate difference to
+# one vector_norm, and |a - b| is exactly |b - a| under round-to-nearest.
+# Unlike the hypot form it converts int coordinates to float before
+# subtracting and refuses points of unequal length; every Position is a
+# pair of floats.
+distance = math.dist
 
 
 def bearing_deg(a: Position, b: Position) -> float:
     """Bearing from a to b, degrees counterclockwise from +x in [0, 360)."""
-    return math.degrees(math.atan2(b[1] - a[1], b[0] - a[0])) % 360.0
+    bearing = math.degrees(math.atan2(b[1] - a[1], b[0] - a[0])) % 360.0
+    # A tiny negative angle rounds up to 360.0 under the modulo.
+    return 0.0 if bearing == 360.0 else bearing
 
 
 def point_line_distance(p: Position, a: Position, b: Position) -> float:

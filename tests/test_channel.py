@@ -13,7 +13,7 @@ from sectrack.channel import (
     ranging_noise_std,
     received_energy,
 )
-from sectrack.geometry import Position
+from sectrack.geometry import Position, distance
 
 
 class TestPropagate:
@@ -21,6 +21,11 @@ class TestPropagate:
         cfg = ChannelConfig(sigma_t=0.0)
         arrival = propagate(Position(0, 0), Position(150, 0), 1.0, cfg)
         assert arrival == pytest.approx(1.0 + 150.0 / 3.0e8)
+        for tx, rx in [
+            (Position(0.0, 0.0), Position(150.0, 0.0)),
+            (Position(10.3, 20.7), Position(200.1, 140.9)),
+        ]:
+            assert propagate(tx, rx, 1.0, cfg) == 1.0 + distance(tx, rx) / cfg.c
 
     def test_beyond_range_not_delivered(self):
         cfg = ChannelConfig()

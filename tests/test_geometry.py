@@ -7,8 +7,11 @@ with no reference to the triangulation code path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +35,29 @@ from sectrack.geometry import (
 )
 
 C = 3.0e8
+# Coordinates at the edges of the double format, and two ordinary ones.
+SPECIAL_FLOATS = (
+    0.0,
+    -0.0,
+    5e-324,
+    sys.float_info.min,
+    sys.float_info.max,
+    -sys.float_info.max,
+    math.inf,
+    -math.inf,
+    math.nan,
+    0.1,
+    400.0,
+)
+
+
+def float_bits(x: float) -> bytes:
+    """The bytes of a double, with one pattern for every NaN."""
+    return b"nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+def reference_distance(a, b) -> float:
+    return math.hypot(b[0] - a[0], b[1] - a[1])
 
 
 def grid_refine_oracle(ref_a, r_a, ref_b, r_b, center, half_span, rounds=6):
@@ -51,6 +77,35 @@ def grid_refine_oracle(ref_a, r_a, ref_b, r_b, center, half_span, rounds=6):
         _, cx, cy = best
         span /= 10.0
     return Position(cx, cy)
+
+
+class TestDistance:
+    """distance is bit for bit the hypot of the coordinate differences."""
+
+    @staticmethod
+    def assert_reference_bits(a, b):
+        got = distance(a, b)
+        assert float_bits(got) == float_bits(reference_distance(a, b)), (a, b)
+        assert float_bits(got) == float_bits(distance(b, a)), (a, b)
+
+    def test_special_values(self):
+        points = [Position(x, y) for x, y in itertools.product(SPECIAL_FLOATS, repeat=2)]
+        for a, b in itertools.product(points, repeat=2):
+            self.assert_reference_bits(a, b)
+
+    def test_any_floats(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        coord = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+        @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+        @given(coord, coord, coord, coord)
+        def check(ax, ay, bx, by):
+            self.assert_reference_bits(Position(ax, ay), Position(bx, by))
+
+        check()
 
 
 class TestRanging:
@@ -178,6 +233,8 @@ class TestSectors:
         assert bearing_deg(Position(0, 0), Position(1, 0)) == 0.0
         assert bearing_deg(Position(0, 0), Position(0, 1)) == 90.0
         assert bearing_deg(Position(0, 0), Position(-1, 0)) == 180.0
+        # Just clockwise of +x the modulo would round up to 360.0.
+        assert bearing_deg(Position(0.0, 0.0), Position(1.0, -1e-300)) == 0.0
 
 
 class TestTriangulate:

@@ -6,7 +6,7 @@ that reads ``role`` is pinned here, over short runs of three scenarios,
 together with the keys of every VERDICT payload.  A new reader fails the
 test until it is named: either as an observation, or as a leak.
 
-Today both readers are known leaks (ROADMAP item 4):
+Today both readers are known leaks (ROADMAP item 5):
 
 - ``_verify`` derives ``honest`` from the peer's role.  Passing it into
   the protocol as the candidate's behaviour is allowed.  Carrying it in
