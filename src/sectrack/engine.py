@@ -106,7 +106,6 @@ TRACKING = BeamState.TRACKING
 
 @dataclass
 class SectorBeam:
-    owner: int
     sector_index: int
     beamwidth: float
     state: BeamState = IDLE
@@ -308,7 +307,7 @@ class Engine:
                 mob = mobility.make_random_waypoint(pos, cfg.v_min, cfg.v_max, area, node_rng)
             span = 360.0 / cfg.sectors
             sectors = [
-                SectorBeam(owner=nid, sector_index=k, beamwidth=span) for k in range(cfg.sectors)
+                SectorBeam(sector_index=k, beamwidth=span) for k in range(cfg.sectors)
             ]
             self.nodes[nid] = NodeState(id=nid, role=role, mobility=mob, sectors=sectors)
             if nid not in static_ids:
@@ -606,13 +605,26 @@ class Engine:
         beam = node.sectors[sec]
         return beam if beam.state is IDLE else None
 
-    def _pair_in_use(self, a: int, b: int, for_target: int) -> bool:
-        pair = frozenset((a, b))
-        return any(
-            frozenset((tr.ref_a, tr.ref_b)) == pair
-            for tr in self.tracks.values()
-            if tr.target != for_target
-        )
+    def _partner_for(
+        self, node: NodeState, around: Position, cands: list[NodeState], target: int
+    ) -> NodeState | None:
+        """The first of ``cands`` that may pair with ``node`` to track ``target``.
+
+        New tracks and switches both pair by this rule: the pair is not
+        another track's, ``around`` sits at least BASELINE_MARGIN off the
+        pair's baseline, and the candidate has an idle beam facing ``around``.
+        """
+        in_use = {
+            frozenset((tr.ref_a, tr.ref_b)) for tr in self.tracks.values() if tr.target != target
+        }
+        for cand in cands:
+            if frozenset((node.id, cand.id)) in in_use:
+                continue
+            if point_line_distance(around, node.position, cand.position) < BASELINE_MARGIN:
+                continue
+            if self._free_facing_beam(cand, around) is not None:
+                return cand
+        return None
 
     def _activate_track(self, target_id: int, t: float) -> bool:
         target = self.nodes[target_id]
@@ -629,52 +641,44 @@ class Engine:
                     )
                     contention_logged = True
                 continue
-            for ref_b in cands[i + 1 :]:
-                if self._pair_in_use(ref_a.id, ref_b.id, for_target=target_id):
-                    continue
-                if point_line_distance(fix, ref_a.position, ref_b.position) < BASELINE_MARGIN:
-                    continue
-                track = Track(
-                    record=record,
-                    ref_a=ref_a.id,
-                    ref_b=ref_b.id,
-                    anchor=fix,
-                    anchor_time=t,
-                    resume_at=t + self.cfg.auth_duration,
-                )
-                if not self._claim_pair(track, ref_a.id, ref_b.id, t):
-                    continue
-                self.log.tracks[target_id] = record
-                self.tracks[target_id] = track
-                return True
+            ref_b = self._partner_for(ref_a, fix, cands[i + 1 :], target_id)
+            if ref_b is None:
+                continue
+            track = Track(
+                record=record,
+                ref_a=ref_a.id,
+                ref_b=ref_b.id,
+                anchor=fix,
+                anchor_time=t,
+                resume_at=t + self.cfg.auth_duration,
+            )
+            # Cannot fail: both nodes have an idle beam facing fix, and
+            # track.predict(t) is fix.
+            self._claim_pair(track, ref_a.id, ref_b.id, t)
+            self.log.tracks[target_id] = record
+            self.tracks[target_id] = track
+            return True
         return False
 
     def _form_zone(self, pos_a: Position, pos_b: Position, anchor: Position) -> TrackingZone:
         cfg = self.cfg
         return form_zone(pos_a, pos_b, anchor, cfg.v_max, cfg.sample_interval, self.zone_cfg)
 
-    def _point(
-        self,
-        beam: SectorBeam,
-        target: int,
-        zone: TrackingZone,
-        observer: Position,
-    ) -> None:
-        """Claim ``beam`` for ``target``, sized to cover ``zone``.
-
-        ``observer`` is the position of the beam's owner.
+    def _point(self, node: NodeState, beam: SectorBeam, target: int, zone: TrackingZone) -> None:
+        """Claim ``node``'s ``beam`` for ``target``, sized from ``node`` to cover ``zone``.
 
         This is the only place a beam becomes TRACKING, so sector
-        exclusivity is enforced here: a violation fails loudly instead of
-        skewing the metrics.
+        exclusivity is enforced here: one node never holds one target on
+        two sectors, and a violation fails loudly instead of skewing the
+        metrics.  A SCANNING beam of another target is not yet protected
+        (ROADMAP item 7d).
         """
-        node = self.nodes[beam.owner]
         for other in node.sectors:
             if other is not beam and other.state is TRACKING and other.target_id == target:
                 raise RuntimeError(f"t={self.now}: node {node.id} has one target on two sectors")
         beam.state = TRACKING
         beam.target_id = target
-        beam.beamwidth = beamwidth_for_zone(zone, observer, self.cfg.sectors)
+        beam.beamwidth = beamwidth_for_zone(zone, node.position, self.cfg.sectors)
 
     # ------------------------------------------------------------------
     # tracking
@@ -690,7 +694,9 @@ class Engine:
     def _check_invariants(self, t: float) -> None:
         # Friendly-references-only and no beam left on a failed reference,
         # enforced live so a violation fails loudly instead of skewing the
-        # metrics.  Sector exclusivity is enforced where beams are claimed.
+        # metrics.  Sector exclusivity (one node never holds one target on
+        # two sectors) is enforced where beams are claimed; a SCANNING beam
+        # of another target is not yet protected (ROADMAP item 7d).
         for track in self.tracks.values():
             s = track.suspension
             if s is not None:
@@ -820,7 +826,7 @@ class Engine:
                 if beam is not None:
                     beam.release()
                 beam = dest
-            self._point(beam, track.target, zone, pos)
+            self._point(node, beam, track.target, zone)
         return True
 
     def _range_exchange(
@@ -897,36 +903,12 @@ class Engine:
     # ------------------------------------------------------------------
     # reference switching
 
-    def _find_replacement(self, track: Track, survivor: int, t: float) -> int | None:
-        if not self._is_friendly(survivor):
-            return None  # survivor lapsed too; the pair must rebuild fully
-        prediction = track.predict(t)
-        survivor_node = self.nodes[survivor]
-        if (
-            survivor_node.beam_for_target(track.target) is None
-            and self._free_facing_beam(survivor_node, prediction) is None
-        ):
-            return None  # the surviving reference cannot re-point a beam
-        exclude = {track.target, track.ref_a, track.ref_b}
-        for cand in self._reference_candidates(prediction, exclude):
-            if self._pair_in_use(survivor, cand.id, for_target=track.target):
-                continue
-            if (
-                point_line_distance(prediction, survivor_node.position, cand.position)
-                < BASELINE_MARGIN
-            ):
-                continue
-            if self._free_facing_beam(cand, prediction) is None:
-                continue
-            return cand.id
-        return None
-
     def _claim_pair(self, track: Track, ref_a: int, ref_b: int, t: float) -> bool:
         """Claim facing beams on both references; True on success."""
         prediction = track.predict(t)
+        nodes = (self.nodes[ref_a], self.nodes[ref_b])
         beams = []
-        for rid in (ref_a, ref_b):
-            node = self.nodes[rid]
+        for node in nodes:
             beam = node.beam_for_target(track.target)
             if beam is None:
                 beam = self._free_facing_beam(node, prediction)
@@ -938,22 +920,44 @@ class Engine:
         track.ref_a, track.ref_b = ref_a, ref_b
         track.anchor = self.nodes[track.target].position  # fresh detection fix
         track.anchor_time = t
-        pos_a = self.nodes[ref_a].position
-        pos_b = self.nodes[ref_b].position
-        zone = self._form_zone(pos_a, pos_b, track.anchor)
-        for beam, pos in zip(beams, (pos_a, pos_b)):
-            self._point(beam, track.target, zone, pos)
+        zone = self._form_zone(nodes[0].position, nodes[1].position, track.anchor)
+        for node, beam in zip(nodes, beams):
+            self._point(node, beam, track.target, zone)
+        return True
+
+    def _switch(self, track: Track, old_ref: int, cause: SwitchCause, t: float) -> bool:
+        """Pair ``old_ref``'s partner with a fresh reference; False if none qualifies."""
+        survivor = self.nodes[track.partner_of(old_ref)]
+        if not self._is_friendly(survivor.id):
+            return False  # survivor lapsed too; the pair must rebuild fully
+        prediction = track.predict(t)
+        if (
+            survivor.beam_for_target(track.target) is None
+            and self._free_facing_beam(survivor, prediction) is None
+        ):
+            return False  # the surviving reference cannot re-point a beam
+        cands = self._reference_candidates(prediction, {track.target, track.ref_a, track.ref_b})
+        new_ref = self._partner_for(survivor, prediction, cands, track.target)
+        if new_ref is None:
+            return False
+        # Cannot fail: the survivor holds a beam for the target or an idle
+        # one facing the prediction, new_ref has an idle one facing it, and
+        # releasing old_ref's beam touches neither.
+        self._release_beams(track, only=old_ref)
+        self._claim_pair(track, survivor.id, new_ref.id, t)
+        delay = self.cfg.auth_duration
+        if track.suspension is not None:
+            delay += t - track.suspension.at
+        self.log.switches.append(SwitchEvent(t, track.target, old_ref, new_ref.id, cause, delay))
+        self._reactivate(track, t)
         return True
 
     def switch_reference(
         self, track: Track, failed_ref: int, cause: SwitchCause, t: float, reauth: bool = False
     ) -> None:
         """Replace one reference of a track, or suspend it behind a scan or re-auth."""
-        replacement = self._find_replacement(track, track.partner_of(failed_ref), t)
-        if replacement is not None:
-            self._apply_switch(track, failed_ref, replacement, cause, t)
-            return
-        self._suspend(track, failed_ref, cause, t, reauth)
+        if not self._switch(track, failed_ref, cause, t):
+            self._suspend(track, failed_ref, cause, t, reauth)
 
     def _suspend(
         self, track: Track, failed_ref: int, cause: SwitchCause, t: float, reauth: bool
@@ -975,11 +979,9 @@ class Engine:
     def _try_switch(self, track: Track, t: float) -> None:
         """Retry a pending switch after a scan or at an assignment pass."""
         s = track.suspension
-        survivor = track.partner_of(s.failed_ref)
-        replacement = self._find_replacement(track, survivor, t)
-        if replacement is not None:
-            self._apply_switch(track, s.failed_ref, replacement, s.cause, t)
+        if self._switch(track, s.failed_ref, s.cause, t):
             return
+        survivor = track.partner_of(s.failed_ref)
         if not self._is_friendly(survivor) or t - s.at >= 2.0 * SCAN_DURATION:
             # Survivor lapsed too, or the outage has dragged on: release
             # everything and rebuild the pair from scratch (the old
@@ -991,19 +993,6 @@ class Engine:
                 self.log.switches.append(
                     SwitchEvent(t, track.target, s.failed_ref, new_ref, s.cause, delay)
                 )
-
-    def _apply_switch(
-        self, track: Track, old_ref: int, new_ref: int, cause: SwitchCause, t: float
-    ) -> None:
-        # Always succeeds: _find_replacement has just found a beam facing
-        # track.predict(t) on both nodes, and releasing old_ref's touches neither.
-        self._release_beams(track, only=old_ref)
-        self._claim_pair(track, track.partner_of(old_ref), new_ref, t)
-        delay = self.cfg.auth_duration
-        if track.suspension is not None:
-            delay += t - track.suspension.at
-        self.log.switches.append(SwitchEvent(t, track.target, old_ref, new_ref, cause, delay))
-        self._reactivate(track, t)
 
     def _reactivate(self, track: Track, t: float) -> None:
         track.suspension = None

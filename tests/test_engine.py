@@ -12,6 +12,7 @@ from sectrack import engine, mobility, protocol
 from sectrack.channel import MAX_BEAMS, ranging_noise_std
 from sectrack.config import ScenarioConfig
 from sectrack.engine import (
+    BASELINE_MARGIN,
     MOBILITY_DT,
     BeamState,
     Engine,
@@ -21,11 +22,13 @@ from sectrack.engine import (
     NodeState,
     Role,
     SectorBeam,
+    Suspension,
+    Track,
     run_scenario,
 )
-from sectrack.geometry import Position
-from sectrack.metrics import SwitchCause, plt_efficiency, write_csv
-from sectrack.scenarios import friendliness_config, multi_target_config
+from sectrack.geometry import Position, bearing_deg, point_line_distance, sector_of
+from sectrack.metrics import SwitchCause, TrackRecord, plt_efficiency, write_csv
+from sectrack.scenarios import friendliness_config, multi_target_config, switching_config
 
 
 def quiet_cluster(**overrides) -> ScenarioConfig:
@@ -78,7 +81,7 @@ class TestBeamForTarget:
     @staticmethod
     def node(*states_and_targets) -> NodeState:
         sectors = [
-            SectorBeam(owner=1, sector_index=k, beamwidth=90.0, state=state, target_id=target)
+            SectorBeam(sector_index=k, beamwidth=90.0, state=state, target_id=target)
             for k, (state, target) in enumerate(states_and_targets)
         ]
         mob = mobility.make_parallel_path(Position(0.0, 0.0), 0.0, 0.0)
@@ -449,7 +452,7 @@ class TestSectorExclusivity:
         other = next(b for b in eng.nodes[1].sectors if b is not held)
         zone = eng._form_zone(eng.nodes[1].position, eng.nodes[2].position, eng.tracks[3].anchor)
         with pytest.raises(RuntimeError, match="node 1 has one target on two sectors"):
-            eng._point(other, 3, zone, eng.nodes[1].position)
+            eng._point(eng.nodes[1], other, 3, zone)
         assert other.state is BeamState.IDLE  # refused before anything was written
 
     def test_repointing_the_held_beam_is_allowed(self):
@@ -457,7 +460,7 @@ class TestSectorExclusivity:
         eng.run()
         held = eng.nodes[1].beam_for_target(3)
         zone = eng._form_zone(eng.nodes[1].position, eng.nodes[2].position, eng.tracks[3].anchor)
-        eng._point(held, 3, zone, eng.nodes[1].position)
+        eng._point(eng.nodes[1], held, 3, zone)
         assert held.state is BeamState.TRACKING and held.target_id == 3
 
     def test_multi_target_run_claims_no_duplicate(self):
@@ -467,6 +470,128 @@ class TestSectorExclusivity:
         for node in eng.nodes.values():
             targets = [b.target_id for b in node.sectors if b.state is BeamState.TRACKING]
             assert len(targets) == len(set(targets))
+
+
+class TestFreeBeamRule:
+    """A tick may take only a beam that no other target holds."""
+
+    T = 10.0
+
+    @staticmethod
+    def takeover_state() -> tuple[Engine, Track, SectorBeam]:
+        # Reference 1 survives target 4's suspended track, its sector 0
+        # beam SCANNING for 4.  Target 5's track pairs 1 with 2, and 5
+        # lies in 1's sector 0 too.
+        cfg = quiet_cluster(
+            node_count=6,
+            malicious_count=2,
+            placements={
+                0: Position(200.0, 200.0),
+                1: Position(100.0, 100.0),
+                2: Position(300.0, 100.0),
+                3: Position(100.0, 300.0),
+                4: Position(160.0, 220.0),
+                5: Position(200.0, 160.0),
+            },
+            static_ids=frozenset(range(6)),
+        )
+        eng = Engine(cfg)
+        eng.tracks[4] = Track(
+            record=TrackRecord(4),
+            ref_a=1,
+            ref_b=3,
+            anchor=eng.nodes[4].position,
+            anchor_time=0.0,
+            suspension=Suspension(0.0, 3, SwitchCause.OUT_OF_RANGE, reauth=False),
+        )
+        track = eng.tracks[5] = Track(
+            record=TrackRecord(5, sample_times=cfg.sample_times()),
+            ref_a=1,
+            ref_b=2,
+            anchor=eng.nodes[5].position,
+            anchor_time=TestFreeBeamRule.T,
+        )
+        scanning = eng.nodes[1].sectors[0]
+        scanning.state = BeamState.SCANNING
+        scanning.target_id = 4
+        return eng, track, scanning
+
+    def test_the_tick_wants_the_scanning_sector(self):
+        eng, track, scanning = self.takeover_state()
+        wanted = sector_of(bearing_deg(eng.nodes[1].position, track.predict(self.T)), 4)
+        assert eng.nodes[1].sectors[wanted] is scanning
+        assert eng.nodes[1].beam_for_target(4) is scanning
+        assert eng.nodes[1].beam_for_target(5) is None
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "_reselect_sectors counts a sector as busy only while it is "
+            "TRACKING another target, so a tick re-points a suspended "
+            "track's SCANNING beam at its own target.  Mending it moves "
+            "default switching trees and needs a declared re-baseline."
+        ),
+    )
+    def test_a_tick_leaves_a_suspended_tracks_scanning_beam_alone(self):
+        eng, track, scanning = self.takeover_state()
+        eng.tracking_tick(track, self.T)
+        assert (scanning.state, scanning.target_id) == (BeamState.SCANNING, 4)
+
+
+class TestPairingRule:
+    """New tracks and switches pair references by one rule."""
+
+    @staticmethod
+    def checked_claims(cfg: ScenarioConfig, monkeypatch) -> dict[str, list[tuple[str, list]]]:
+        """Run ``cfg`` and check every pair an activation or a switch claims.
+
+        Returns, per path, each claimed pair with the rule's tests it breaks.
+        A re-auth resume re-claims the pair it had, so its claims are left out.
+        """
+        checked = {"_activate_track": [], "_switch": []}
+        claim = Engine._claim_pair
+
+        def checking_claim(eng, track, ref_a, ref_b, t):
+            path = inspect.currentframe().f_back.f_code.co_name
+            if path in checked:
+                around = track.predict(t)
+                node, cand = eng.nodes[ref_a], eng.nodes[ref_b]
+                pair = frozenset((ref_a, ref_b))
+                faults = []
+                if any(
+                    frozenset((tr.ref_a, tr.ref_b)) == pair
+                    for tr in eng.tracks.values()
+                    if tr.target != track.target
+                ):
+                    faults.append("pair in use")
+                if point_line_distance(around, node.position, cand.position) < BASELINE_MARGIN:
+                    faults.append("target on the baseline")
+                facing = sector_of(bearing_deg(cand.position, around), eng.cfg.sectors)
+                if cand.sectors[facing].state is not BeamState.IDLE:
+                    faults.append("no idle beam facing the target")
+                checked[path].append((f"t={t} target {track.target} {ref_a}+{ref_b}", faults))
+            return claim(eng, track, ref_a, ref_b, t)
+
+        monkeypatch.setattr(Engine, "_claim_pair", checking_claim)
+        Engine(cfg).run()
+        return checked
+
+    # Dropping any one of the rule's three tests from either path makes
+    # each multi-target run claim a pair that breaks it.
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            multi_target_config(ScenarioConfig(), master_seed=1),
+            multi_target_config(ScenarioConfig(), master_seed=3),
+            switching_config(ScenarioConfig(duration=200.0), v_max=20.0, master_seed=1),
+        ],
+        ids=["multi-target-1", "multi-target-3", "switching"],
+    )
+    def test_every_new_and_switched_pair_obeys_the_rule(self, cfg, monkeypatch):
+        checked = self.checked_claims(cfg, monkeypatch)
+        for path, claims in checked.items():
+            assert claims, f"no pair was claimed by {path}"
+            assert [claim for claim in claims if claim[1]] == [], path
 
 
 def _attribute_writes(attr: str) -> list[tuple[str, str]]:
