@@ -35,7 +35,7 @@ class ChannelConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.c == 0:
-            raise ValueError("propagation speed must be positive")
+            raise ValueError("c must be positive: it is the propagation speed")
         if self.e_total == 0:
             # Ranging jitter grows as 1/sqrt(received energy).
             raise ValueError("e_total must be positive: a beam without energy cannot range")

@@ -10,12 +10,14 @@ directory alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from sectrack.channel import MAX_BEAMS, ChannelConfig
+from sectrack.cipher import DEFAULT_RTT_BUCKET
 from sectrack.geometry import Position, ZoneConfig
+from sectrack.protocol import AdversaryModel
 
 
 class ConfigError(ValueError):
@@ -33,45 +35,56 @@ SCENARIO_NAMES = (
 )
 
 
+def _key(section: str, default: Any, bound: str = "") -> Any:
+    """A file key under [section]; `bound` is "positive", "nonnegative" or none."""
+    if bound not in ("", "positive", "nonnegative"):
+        raise ValueError(f"unknown bound {bound!r}")
+    return field(default=default, metadata={"section": section, "bound": bound})
+
+
 @dataclass
 class ScenarioConfig:
-    # [sim]
-    area_side: float = 400.0
-    node_count: int = 60
-    malicious_count: int = 4
-    sectors: int = 4
-    duration: float = 500.0
-    sample_interval: float = 5.0
-    master_seed: int = 1
-    scenario: str = "all"
-    seeds: int = 50
-    trials: int = 100_000
-    # [channel]
-    c: float = 3.0e8
-    range_limit: float = 250.0
-    sigma_t: float = 5.0e-9
-    e_total: float = 1.0
-    beta: float = 0.06
-    # [sfv]
-    j_max: int = 4
-    reauth_interval: float = 25.0
-    rtt_bucket: float = 1.0e-5
-    n_keys: int = 4
-    p_wh: float = 0.0
-    p_i: float = 0.0
-    p_r: float = 0.0
-    auth_duration: float = 2.0
-    # [zone]
-    alpha: float = 0.5
-    rho_min: float = 5.0
-    rho_max: float = 150.0
-    eps_gap: float = 2.0
-    # [mobility]
-    v_min: float = 1.0
-    v_max: float = 10.0
-    model: str = "random_waypoint"
-    lane_spacing: float = 40.0
-    heading: float = 0.0
+    """Every scenario parameter.
+
+    Each file key is declared once, by ``_key(section, default, bound)``;
+    SECTIONS, the parser's types and validate's one-sided checks are read
+    from those declarations.
+    """
+
+    area_side: float = _key("sim", 400.0, "positive")
+    node_count: int = _key("sim", 60, "positive")
+    malicious_count: int = _key("sim", 4, "nonnegative")
+    sectors: int = _key("sim", 4, "positive")
+    duration: float = _key("sim", 500.0, "positive")
+    sample_interval: float = _key("sim", 5.0, "positive")
+    master_seed: int = _key("sim", 1)
+    scenario: str = _key("sim", "all")
+    seeds: int = _key("sim", 50, "positive")
+    trials: int = _key("sim", 100_000, "positive")
+    # ChannelConfig checks these.
+    c: float = _key("channel", ChannelConfig.c)
+    range_limit: float = _key("channel", ChannelConfig.range_limit)
+    sigma_t: float = _key("channel", ChannelConfig.sigma_t)
+    e_total: float = _key("channel", ChannelConfig.e_total)
+    beta: float = _key("channel", ChannelConfig.beta)
+    j_max: int = _key("sfv", 4, "positive")
+    reauth_interval: float = _key("sfv", 25.0, "positive")
+    rtt_bucket: float = _key("sfv", DEFAULT_RTT_BUCKET, "positive")
+    n_keys: int = _key("sfv", 4, "positive")
+    # AdversaryModel checks these.
+    p_wh: float = _key("sfv", AdversaryModel.p_wh)
+    p_i: float = _key("sfv", AdversaryModel.p_i)
+    p_r: float = _key("sfv", AdversaryModel.p_r)
+    auth_duration: float = _key("sfv", 2.0, "nonnegative")
+    alpha: float = _key("zone", ZoneConfig.alpha, "nonnegative")
+    rho_min: float = _key("zone", ZoneConfig.rho_min, "positive")
+    rho_max: float = _key("zone", ZoneConfig.rho_max, "positive")
+    eps_gap: float = _key("zone", 2.0, "positive")
+    v_min: float = _key("mobility", 1.0, "nonnegative")
+    v_max: float = _key("mobility", 10.0, "nonnegative")
+    model: str = _key("mobility", "random_waypoint")
+    lane_spacing: float = _key("mobility", 40.0, "nonnegative")
+    heading: float = _key("mobility", 0.0)
 
     # Programmatic-only scenario construction hooks; never read from files.
     placements: dict[int, Position] | None = field(default=None, repr=False)
@@ -94,65 +107,52 @@ class ScenarioConfig:
             rho_max=self.rho_max,
         )
 
+    def adversary_model(self) -> AdversaryModel:
+        return AdversaryModel(self.p_wh, self.p_i, self.p_r)
+
     def sample_times(self) -> tuple[float, ...]:
         """Tracking instants k * sample_interval for k >= 1, none past duration."""
         n = math.floor(self.duration / self.sample_interval + 1e-9)
         return tuple(self.sample_interval * k for k in range(1, n + 1))
 
-    def lane_start(self, lane: int) -> Position:
-        """Default start of the parallel-path target on lane `lane`."""
-        return Position(
-            self.area_side * 0.1,
-            self.area_side / 2.0 + (lane - (self.malicious_count - 1) / 2.0) * self.lane_spacing,
-        )
+    def lane_starts(self) -> dict[int, Position]:
+        """Default start of each moving parallel-path target, by node id.
+
+        Lanes go to the targets that are not static, in id order, centred on
+        the area's middle row; a placed target takes a lane but starts where
+        it is placed instead.
+        """
+        static_ids = self.static_ids or frozenset()
+        first = self.node_count - self.malicious_count
+        movers = [nid for nid in range(first, self.node_count) if nid not in static_ids]
+        middle = (self.malicious_count - 1) / 2.0
+        return {
+            nid: Position(
+                self.area_side * 0.1,
+                self.area_side / 2.0 + (lane - middle) * self.lane_spacing,
+            )
+            for lane, nid in enumerate(movers)
+        }
 
 
+_FILE_KEYS = tuple(f for f in fields(ScenarioConfig) if "section" in f.metadata)
 SECTIONS: dict[str, tuple[str, ...]] = {
-    "sim": (
-        "area_side",
-        "node_count",
-        "malicious_count",
-        "sectors",
-        "duration",
-        "sample_interval",
-        "master_seed",
-        "scenario",
-        "seeds",
-        "trials",
-    ),
-    "channel": ("c", "range_limit", "sigma_t", "e_total", "beta"),
-    "sfv": (
-        "j_max",
-        "reauth_interval",
-        "rtt_bucket",
-        "n_keys",
-        "p_wh",
-        "p_i",
-        "p_r",
-        "auth_duration",
-    ),
-    "zone": ("alpha", "rho_min", "rho_max", "eps_gap"),
-    "mobility": ("v_min", "v_max", "model", "lane_spacing", "heading"),
+    section: tuple(f.name for f in _FILE_KEYS if f.metadata["section"] == section)
+    for section in dict.fromkeys(f.metadata["section"] for f in _FILE_KEYS)
 }
-
-_DEFAULTS = ScenarioConfig()
-_FILE_KEYS = tuple(key for keys in SECTIONS.values() for key in keys)
-_INT_KEYS = {key for key in _FILE_KEYS if type(getattr(_DEFAULTS, key)) is int}
-_STR_KEYS = {key for key in _FILE_KEYS if type(getattr(_DEFAULTS, key)) is str}
-_FLOAT_KEYS = tuple(key for key in _FILE_KEYS if type(getattr(_DEFAULTS, key)) is float)
+_TYPES = {f.name: type(f.default) for f in _FILE_KEYS}
 
 
 def _coerce(key: str, raw: str, where: str) -> Any:
     raw = raw.strip()
-    if key in _STR_KEYS:
+    kind = _TYPES[key]
+    if kind is str:
         return raw
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        kind = "integer" if key in _INT_KEYS else "number"
-        raise ConfigError(f"{where}: key '{key}' expects an {kind}, got '{raw}'") from None
+        name = "integer" if kind is int else "number"
+        raise ConfigError(f"{where}: key '{key}' expects an {name}, got '{raw}'") from None
 
 
 def parse_config(
@@ -203,35 +203,13 @@ def parse_config(
 
 
 def validate(cfg: ScenarioConfig) -> None:
-    # nan passes every ordered comparison below, and inf runs forever.
-    for name in _FLOAT_KEYS:
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"'{name}' must be a finite number, got {getattr(cfg, name)}")
-
-    def positive(name: str) -> None:
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"'{name}' must be positive, got {getattr(cfg, name)}")
-
-    for name in (
-        "area_side",
-        "node_count",
-        "sectors",
-        "duration",
-        "sample_interval",
-        "seeds",
-        "trials",
-        "j_max",
-        "reauth_interval",
-        "rtt_bucket",
-        "n_keys",
-        "rho_min",
-        "rho_max",
-        "eps_gap",
-        "c",
-    ):
-        positive(name)
-    if cfg.malicious_count < 0:
-        raise ConfigError(f"'malicious_count' must be nonnegative, got {cfg.malicious_count}")
+    for f in _FILE_KEYS:
+        v, bound = getattr(cfg, f.name), f.metadata["bound"]
+        # nan passes every ordered comparison, and inf runs forever.
+        if type(f.default) is float and not math.isfinite(v):
+            raise ConfigError(f"'{f.name}' must be a finite number, got {v}")
+        if bound == "positive" and v <= 0 or bound == "nonnegative" and v < 0:
+            raise ConfigError(f"'{f.name}' must be {bound}, got {v}")
     if cfg.malicious_count >= cfg.node_count:
         raise ConfigError(
             f"'malicious_count' ({cfg.malicious_count}) must be below "
@@ -242,19 +220,10 @@ def validate(cfg: ScenarioConfig) -> None:
             f"'sectors' ({cfg.sectors}) must not exceed the channel model's "
             f"{MAX_BEAMS} beams"
         )
-    for name in ("alpha", "lane_spacing"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"'{name}' must be nonnegative, got {getattr(cfg, name)}")
-    if cfg.v_min < 0 or cfg.v_max < 0:
-        raise ConfigError("'v_min' and 'v_max' must be nonnegative")
     if cfg.v_min > cfg.v_max:
         raise ConfigError(
             f"'v_min' ({cfg.v_min}) must not exceed 'v_max' ({cfg.v_max})"
         )
-    for name in ("p_wh", "p_i", "p_r"):
-        v = getattr(cfg, name)
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"'{name}' must be in [0, 1], got {v}")
     if cfg.rho_min > cfg.rho_max:
         raise ConfigError(
             f"'rho_min' ({cfg.rho_min}) must not exceed 'rho_max' ({cfg.rho_max})"
@@ -272,37 +241,26 @@ def validate(cfg: ScenarioConfig) -> None:
         )
     if cfg.model not in ("random_waypoint", "parallel_path"):
         raise ConfigError(f"'model' must be random_waypoint or parallel_path, got '{cfg.model}'")
-    if cfg.auth_duration < 0:
-        raise ConfigError(f"'auth_duration' must be nonnegative, got {cfg.auth_duration}")
     if not 0 <= cfg.master_seed < 1 << 64:
         # Stream seeds keep only the low 64 bits, so a wider seed would
         # silently run as another one.
         raise ConfigError(f"'master_seed' must be in [0, 2**64 - 1], got {cfg.master_seed}")
     if cfg.model == "parallel_path":
-        _check_lane_starts(cfg)
-    try:
-        cfg.channel_config()  # re-runs the channel invariants (beta bound etc.)
-    except ValueError as exc:
-        raise ConfigError(f"[channel] {exc}") from None
-
-
-def _check_lane_starts(cfg: ScenarioConfig) -> None:
-    # Lanes go to the moving targets in id order, as the engine assigns them;
-    # a placed target starts where it is placed instead.
-    static_ids = cfg.static_ids or frozenset()
-    placements = cfg.placements or {}
-    lane = 0
-    for nid in range(cfg.node_count - cfg.malicious_count, cfg.node_count):
-        if nid in static_ids:
-            continue
-        x, y = cfg.lane_start(lane)  # x is a tenth of the way across, always inside
-        if nid not in placements and not 0.0 <= y <= cfg.area_side:
-            raise ConfigError(
-                f"parallel_path lane {lane} would start at ({x:g}, {y:g}), outside the "
-                f"{cfg.area_side:g} m area; reduce 'lane_spacing' ({cfg.lane_spacing:g}) "
-                f"or 'malicious_count' ({cfg.malicious_count})"
-            )
-        lane += 1
+        placements = cfg.placements or {}
+        for lane, (nid, (x, y)) in enumerate(cfg.lane_starts().items()):
+            # x is a tenth of the way across, always inside.
+            if nid not in placements and not 0.0 <= y <= cfg.area_side:
+                raise ConfigError(
+                    f"parallel_path lane {lane} would start at ({x:g}, {y:g}), outside the "
+                    f"{cfg.area_side:g} m area; reduce 'lane_spacing' ({cfg.lane_spacing:g}) "
+                    f"or 'malicious_count' ({cfg.malicious_count})"
+                )
+    # The channel and adversary models check their own keys.
+    for section, build in (("channel", cfg.channel_config), ("sfv", cfg.adversary_model)):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
 
 
 def echo_config(cfg: ScenarioConfig, path: str | Path) -> Path:

@@ -238,7 +238,7 @@ class Engine:
         self.zone_cfg = cfg.zone_config()
         self.now = 0.0
         self.queue = EventQueue()
-        self.adversary = protocol.AdversaryModel(cfg.p_wh, cfg.p_i, cfg.p_r)
+        self.adversary = cfg.adversary_model()
 
         # Jitter of a reference running m tracking beams, m = 1..sectors.
         self.ranging_sigma = {
@@ -278,7 +278,7 @@ class Engine:
         first_target = cfg.node_count - cfg.malicious_count
         placements = cfg.placements or {}
         static_ids = cfg.static_ids or frozenset()
-        lane = 0
+        lanes = cfg.lane_starts()
         for nid in range(cfg.node_count):
             if nid == 0:
                 role = CLUSTER_HEAD
@@ -298,11 +298,8 @@ class Engine:
             elif role is MALICIOUS_TARGET and cfg.model == "parallel_path":
                 speed = float(node_rng.uniform(cfg.v_min, cfg.v_max))
                 mob = mobility.make_parallel_path(
-                    placements[nid] if nid in placements else cfg.lane_start(lane),
-                    speed,
-                    cfg.heading,
+                    placements.get(nid, lanes[nid]), speed, cfg.heading
                 )
-                lane += 1
             else:
                 mob = mobility.make_random_waypoint(pos, cfg.v_min, cfg.v_max, area, node_rng)
             span = 360.0 / cfg.sectors
@@ -334,10 +331,10 @@ class Engine:
     def run(self) -> MetricsLog:
         self._schedule_all()
         end = self.cfg.duration + 1e-9
-        # Movers step once per tick k * MOBILITY_DT, k = 1..ticks, and an
-        # event at time t sees every tick at or before t.  The ticks are
-        # batched into one step call per mover when an event needs them.
-        ticks = int(end // MOBILITY_DT)
+        # Movers step once per tick k * MOBILITY_DT, k >= 1, and an event at
+        # time t sees every tick at or before t.  The ticks are batched into
+        # one step call per mover when an event needs them; ticks after the
+        # last event move nothing that is read, so they are never stepped.
         stepped = 0
         while len(self.queue):
             t, kind, payload = self.queue.pop()
@@ -346,7 +343,7 @@ class Engine:
             if t < self.now - 1e-12:
                 raise RuntimeError("event queue delivered an event in the past")
             self.now = max(self.now, t)
-            due = int(t // MOBILITY_DT)  # at most ticks, since t <= end
+            due = int(t // MOBILITY_DT)
             if due > stepped:
                 self._step_movers(due - stepped)
                 stepped = due
@@ -360,8 +357,6 @@ class Engine:
                 self._handle_scan_done(t, payload)
             elif kind is VERDICT:
                 self._handle_verdict(t, payload)
-        if ticks > stepped:
-            self._step_movers(ticks - stepped)
         return self.log
 
     # ------------------------------------------------------------------

@@ -110,17 +110,14 @@ def form_zone(
 ) -> TrackingZone:
     """Zone around the last estimate, sized by the reference-pair geometry.
 
-    radius = clamp(alpha * (d12 / d_avg) * d_avg + v_max * dt), i.e. the
-    inter-reference distance scaled by alpha plus the worst-case motion
-    since the estimate.
+    radius = clamp(alpha * d12 + v_max * dt), i.e. the inter-reference
+    distance d12 scaled by alpha plus the worst-case motion since the
+    estimate.
     """
     d12 = distance(ref_a, ref_b)
     if d12 == 0.0:
         raise DegenerateGeometryError("reference nodes coincide")
-    d_avg = (distance(last_est, ref_a) + distance(last_est, ref_b)) / 2.0
-    if d_avg == 0.0:
-        raise DegenerateGeometryError("target estimate coincides with both references")
-    radius = cfg.alpha * (d12 / d_avg) * d_avg + v_max * dt
+    radius = cfg.alpha * d12 + v_max * dt
     radius = min(max(radius, cfg.rho_min), cfg.rho_max)
     return TrackingZone(last_est, radius)
 

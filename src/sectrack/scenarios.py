@@ -132,14 +132,17 @@ def run_multi_target(cfg: ScenarioConfig) -> MetricsLog:
 def trajectory_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Four targets sweeping the field on parallel lanes between two static
     reference rows; slow march so one field crossing fills the full run.
-    Areas smaller than LAYOUT_SIDE shrink the layout to fit."""
+    Areas smaller than LAYOUT_SIDE shrink the layout to fit.  Lanes start
+    at y = 140 and are ``lane_spacing`` apart, capped at (LAYOUT_SIDE - 140) / 3
+    so that the fourth lane starts no higher than the layout's top edge."""
     s = _layout_scale(cfg)
+    spacing = min(cfg.lane_spacing, (LAYOUT_SIDE - 140.0) / 3.0)
     placements: dict[int, Position] = {0: Position(200.0 * s, 200.0 * s)}
     for i, x in enumerate((60.0, 150.0, 240.0, 330.0)):
         placements[1 + i] = Position(x * s, 80.0 * s)
         placements[5 + i] = Position(x * s, 320.0 * s)
     for k in range(4):
-        placements[9 + k] = Position(40.0 * s, (140.0 + k * cfg.lane_spacing) * s)
+        placements[9 + k] = Position(40.0 * s, (140.0 + k * spacing) * s)
     return dataclasses.replace(
         cfg,
         node_count=13,
@@ -199,7 +202,8 @@ def friendliness_config(cfg: ScenarioConfig) -> ScenarioConfig:
     enough to fit a smaller area; its spacing is kept, since a shrunken
     target would fall inside the reference pair's baseline margin.  The
     layout therefore fits only areas of at least FRIENDLINESS_MIN_SIDE,
-    and a smaller one is refused.
+    and a smaller one is refused.  The run is cut to 200 s, but never below
+    one ``sample_interval``.
     """
     _check_friendliness_area(cfg)
     cx = min(200.0, cfg.area_side - 40.0)
@@ -214,7 +218,7 @@ def friendliness_config(cfg: ScenarioConfig) -> ScenarioConfig:
         cfg,
         node_count=4,
         malicious_count=1,
-        duration=min(cfg.duration, 200.0),
+        duration=max(min(cfg.duration, 200.0), cfg.sample_interval),
         model="random_waypoint",
         placements=placements,
         static_ids=frozenset({0, 1, 2, 3}),

@@ -139,6 +139,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"\[channel\] {key} must"):
             parse_config(None, {f"channel.{key}": "-5"})
 
+    @pytest.mark.parametrize(
+        "dotted, raw, message",
+        [
+            ("channel.c", "0", r"^\[channel\] c must be positive"),
+            ("sfv.p_i", "1.01", r"^\[sfv\] p_i must be in \[0, 1\], got 1.01$"),
+            ("mobility.v_min", "-1", r"^'v_min' must be nonnegative, got -1.0$"),
+            ("mobility.v_max", "-1", r"^'v_max' must be nonnegative, got -1.0$"),
+        ],
+    )
+    def test_each_refusal_names_its_key(self, dotted, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(None, {dotted: raw})
+
     def test_lane_start_outside_area_rejected(self):
         # 4 lanes centred on y = 200: the outer ones sit 1.5 spacings off centre.
         ok = {"mobility.model": "parallel_path", "mobility.lane_spacing": str(200 / 1.5)}

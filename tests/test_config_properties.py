@@ -22,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from sectrack import scenarios  # noqa: E402
 from sectrack.channel import MAX_BEAMS  # noqa: E402
-from sectrack.config import ConfigError, parse_config  # noqa: E402
+from sectrack.config import SECTIONS, ConfigError, parse_config  # noqa: E402
 from sectrack.engine import AREA_SLACK  # noqa: E402
 
 ENGINE_SCENARIOS = ("friendliness", "trajectory", "multi-target", "switching")
@@ -73,13 +73,14 @@ OVERRIDES = {
     "mobility.heading": floats(-360.0, 360.0),
 }
 
-overrides = st.fixed_dictionaries(
-    {
-        "sim.node_count": st.integers(5, 20).map(str),
-        "sim.duration": st.floats(1.0, 60.0).map(repr),
-        "sim.seeds": st.just("1"),
-    }
-).flatmap(
+# Keys every drawn config sets, to keep each run short.
+FIXED = {
+    "sim.node_count": st.integers(5, 20).map(str),
+    "sim.duration": st.floats(1.0, 60.0).map(repr),
+    "sim.seeds": st.just("1"),
+}
+
+overrides = st.fixed_dictionaries(FIXED).flatmap(
     lambda base: st.lists(st.sampled_from(sorted(OVERRIDES)), max_size=4, unique=True).flatmap(
         lambda keys: st.fixed_dictionaries({k: OVERRIDES[k] for k in keys}).map(
             lambda extra: {**base, **extra}
@@ -100,6 +101,8 @@ BASE = {"sim.node_count": "8", "sim.duration": "30.0", "sim.seeds": "1"}
 @given(overrides=overrides)
 @example(overrides={**BASE, "sim.duration": "3.0"})  # an assignment pass, no tracking instant
 @example(overrides={**BASE, "channel.e_total": "0.0"})  # beams without energy
+# friendliness cuts its run to 200 s, but never below one sample_interval
+@example(overrides={**BASE, "sim.duration": "300.0", "sim.sample_interval": "250.0"})
 def test_accepted_config_runs_every_engine_scenario(overrides):
     try:
         cfg = parse_config(overrides=overrides)
@@ -117,3 +120,8 @@ def test_accepted_config_runs_every_engine_scenario(overrides):
                     name,
                     row,
                 )
+
+
+def test_every_file_key_is_drawn():
+    keys = {f"{section}.{key}" for section, names in SECTIONS.items() for key in names}
+    assert set(OVERRIDES) | set(FIXED) == keys

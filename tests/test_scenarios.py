@@ -99,14 +99,16 @@ class TestClosedFormScenarios:
 
 
 class TestLayoutsScaleWithTheArea:
-    @pytest.mark.parametrize("side", [100.0, 600.0])
+    # Past (400 - 140) / 3 m, trajectory lanes are capped at that spacing.
+    @pytest.mark.parametrize("spacing", [40.0, 86.0, 100.0, 400.0])
+    @pytest.mark.parametrize("side", [100.0, 400.0, 600.0])
     @pytest.mark.parametrize(
         "build",
         [lambda cfg: multi_target_config(cfg, master_seed=1), trajectory_config],
         ids=["multi-target", "trajectory"],
     )
-    def test_every_placement_lies_inside_the_area(self, build, side):
-        cfg = build(ScenarioConfig(master_seed=1, area_side=side))
+    def test_every_placement_lies_inside_the_area(self, build, side, spacing):
+        cfg = build(ScenarioConfig(master_seed=1, area_side=side, lane_spacing=spacing))
         assert len(cfg.placements) == cfg.node_count
         for pos in cfg.placements.values():
             assert 0.0 <= pos.x <= side and 0.0 <= pos.y <= side
