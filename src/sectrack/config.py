@@ -151,8 +151,8 @@ def _coerce(key: str, raw: str, where: str) -> Any:
     try:
         return kind(raw)
     except ValueError:
-        name = "integer" if kind is int else "number"
-        raise ConfigError(f"{where}: key '{key}' expects an {name}, got '{raw}'") from None
+        name = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: key '{key}' expects {name}, got '{raw}'") from None
 
 
 def parse_config(

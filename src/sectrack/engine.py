@@ -532,11 +532,15 @@ class Engine:
             if s is None or not s.reauth or s.failed_ref != peer_id:
                 continue
             survivor = track.partner_of(peer_id)
-            if not self._is_friendly(survivor) or not self._claim_pair(
-                track, survivor, peer_id, t
+            prediction = track.predict(t)
+            if not self._is_friendly(survivor) or any(
+                self._beam_toward(self.nodes[rid], target, prediction) is None
+                for rid in (survivor, peer_id)
             ):
-                s.reauth = False  # fall back to assignment-pass retries
+                # Fall back to assignment-pass retries; the survivor keeps scanning.
+                s.reauth = False
                 continue
+            self._claim_pair(track, survivor, peer_id, t)
             delay = t - s.at
             self.log.switches.append(
                 SwitchEvent(t, track.target, peer_id, peer_id, SwitchCause.FRIENDLINESS_LOST, delay)
@@ -595,9 +599,12 @@ class Engine:
         cands.sort()
         return [self.nodes[nid] for _, nid in cands]
 
-    def _free_facing_beam(self, node: NodeState, toward: Position) -> SectorBeam | None:
-        sec = sector_of(bearing_deg(node.position, toward), self.cfg.sectors)
-        beam = node.sectors[sec]
+    def _beam_toward(self, node: NodeState, target: int, toward: Position) -> SectorBeam | None:
+        """The beam ``node`` holds for ``target``, else its IDLE beam facing ``toward``."""
+        beam = node.beam_for_target(target)
+        if beam is not None:
+            return beam
+        beam = node.sectors[sector_of(bearing_deg(node.position, toward), self.cfg.sectors)]
         return beam if beam.state is IDLE else None
 
     def _partner_for(
@@ -607,7 +614,8 @@ class Engine:
 
         New tracks and switches both pair by this rule: the pair is not
         another track's, ``around`` sits at least BASELINE_MARGIN off the
-        pair's baseline, and the candidate has an idle beam facing ``around``.
+        pair's baseline, and the candidate has an idle beam facing ``around``
+        (``_beam_toward``; no candidate holds a beam for the target).
         """
         in_use = {
             frozenset((tr.ref_a, tr.ref_b)) for tr in self.tracks.values() if tr.target != target
@@ -617,7 +625,7 @@ class Engine:
                 continue
             if point_line_distance(around, node.position, cand.position) < BASELINE_MARGIN:
                 continue
-            if self._free_facing_beam(cand, around) is not None:
+            if self._beam_toward(cand, target, around) is not None:
                 return cand
         return None
 
@@ -629,7 +637,7 @@ class Engine:
         contention_logged = False
         cands = self._reference_candidates(fix, exclude={target_id})
         for i, ref_a in enumerate(cands):
-            if self._free_facing_beam(ref_a, fix) is None:
+            if self._beam_toward(ref_a, target_id, fix) is None:
                 if not contention_logged:
                     self.log.switches.append(
                         SwitchEvent(t, target_id, ref_a.id, -1, SwitchCause.SECTOR_CONTENTION, 0.0)
@@ -647,8 +655,6 @@ class Engine:
                 anchor_time=t,
                 resume_at=t + self.cfg.auth_duration,
             )
-            # Cannot fail: both nodes have an idle beam facing fix, and
-            # track.predict(t) is fix.
             self._claim_pair(track, ref_a.id, ref_b.id, t)
             self.log.tracks[target_id] = record
             self.tracks[target_id] = track
@@ -898,20 +904,11 @@ class Engine:
     # ------------------------------------------------------------------
     # reference switching
 
-    def _claim_pair(self, track: Track, ref_a: int, ref_b: int, t: float) -> bool:
-        """Claim facing beams on both references; True on success."""
+    def _claim_pair(self, track: Track, ref_a: int, ref_b: int, t: float) -> None:
+        """Point each reference's ``_beam_toward`` beam; every caller checks both first."""
         prediction = track.predict(t)
         nodes = (self.nodes[ref_a], self.nodes[ref_b])
-        beams = []
-        for node in nodes:
-            beam = node.beam_for_target(track.target)
-            if beam is None:
-                beam = self._free_facing_beam(node, prediction)
-            if beam is None:
-                for b in beams:
-                    b.release()
-                return False
-            beams.append(beam)
+        beams = [self._beam_toward(node, track.target, prediction) for node in nodes]
         track.ref_a, track.ref_b = ref_a, ref_b
         track.anchor = self.nodes[track.target].position  # fresh detection fix
         track.anchor_time = t
@@ -926,18 +923,13 @@ class Engine:
         if not self._is_friendly(survivor.id):
             return False  # survivor lapsed too; the pair must rebuild fully
         prediction = track.predict(t)
-        if (
-            survivor.beam_for_target(track.target) is None
-            and self._free_facing_beam(survivor, prediction) is None
-        ):
+        if self._beam_toward(survivor, track.target, prediction) is None:
             return False  # the surviving reference cannot re-point a beam
         cands = self._reference_candidates(prediction, {track.target, track.ref_a, track.ref_b})
         new_ref = self._partner_for(survivor, prediction, cands, track.target)
         if new_ref is None:
             return False
-        # Cannot fail: the survivor holds a beam for the target or an idle
-        # one facing the prediction, new_ref has an idle one facing it, and
-        # releasing old_ref's beam touches neither.
+        # Releasing old_ref's beam touches neither beam checked above.
         self._release_beams(track, only=old_ref)
         self._claim_pair(track, survivor.id, new_ref.id, t)
         delay = self.cfg.auth_duration

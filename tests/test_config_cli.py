@@ -152,6 +152,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(None, {dotted: raw})
 
+    @pytest.mark.parametrize(
+        "dotted, key, expected",
+        [("sim.node_count", "node_count", "an integer"), ("sim.duration", "duration", "a number")],
+    )
+    def test_a_non_numeric_value_names_the_type(self, dotted, key, expected):
+        with pytest.raises(ConfigError) as refused:
+            parse_config(None, {dotted: "x"})
+        assert str(refused.value) == f"override {dotted}: key '{key}' expects {expected}, got 'x'"
+
     def test_lane_start_outside_area_rejected(self):
         # 4 lanes centred on y = 200: the outer ones sit 1.5 spacings off centre.
         ok = {"mobility.model": "parallel_path", "mobility.lane_spacing": str(200 / 1.5)}

@@ -18,6 +18,7 @@ from sectrack.engine import (
     Engine,
     EventKind,
     EventQueue,
+    FriendRecord,
     Friendliness,
     NodeState,
     Role,
@@ -537,6 +538,41 @@ class TestFreeBeamRule:
         eng, track, scanning = self.takeover_state()
         eng.tracking_tick(track, self.T)
         assert (scanning.state, scanning.target_id) == (BeamState.SCANNING, 4)
+
+
+class TestFailedResume:
+    """A re-auth resume that cannot claim both beams leaves the survivor scanning."""
+
+    def test_the_survivor_keeps_its_scanning_beam(self):
+        # References 1 and 2 track target 3; 2 failed its re-auth, so 1's
+        # beam scans.  2 passes again, but its sector facing the prediction
+        # now tracks another target (4, outside this cluster).
+        t = 60.0
+        eng = Engine(friendliness_config(ScenarioConfig(master_seed=1)))
+        for ref in (1, 2):
+            eng.relations[ref] = FriendRecord(status=Friendliness.FRIENDLY)
+        track = eng.tracks[3] = Track(
+            record=TrackRecord(3),
+            ref_a=1,
+            ref_b=2,
+            anchor=eng.nodes[3].position,
+            anchor_time=t,
+            suspension=Suspension(40.0, 2, SwitchCause.FRIENDLINESS_LOST, reauth=True),
+        )
+        prediction = track.predict(t)
+        scanning = eng.nodes[1].sectors[sector_of(bearing_deg(eng.nodes[1].position, prediction))]
+        scanning.state, scanning.target_id = BeamState.SCANNING, 3
+        busy = eng.nodes[2].sectors[sector_of(bearing_deg(eng.nodes[2].position, prediction))]
+        busy.state, busy.target_id = BeamState.TRACKING, 4
+
+        eng._resume_tracks_awaiting(2, t)
+
+        assert track.suspension is not None
+        assert track.suspension.reauth is False
+        assert eng.nodes[1].beam_for_target(3) is scanning
+        assert scanning.state is BeamState.SCANNING
+        assert (busy.state, busy.target_id) == (BeamState.TRACKING, 4)
+        assert eng.log.switches == []
 
 
 class TestPairingRule:
