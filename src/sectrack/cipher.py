@@ -201,8 +201,8 @@ class IntegratedKey:
 
 
 @dataclass(frozen=True, slots=True)
-class EnsemblePacket:
-    """Plaintext packet: padded payload plus its 1-based chain ordinal."""
+class _Packet:
+    """Whole 256-bit blocks plus the 1-based chain ordinal, checked once for both packets."""
 
     payload: bytes
     index: int = 1
@@ -211,19 +211,18 @@ class EnsemblePacket:
         _check_block_structure(self.payload)
         if self.index < 1:
             raise ValueError("packet index starts at 1")
+
+
+# Distinct types: a dataclass compares equal only to its own class, so a
+# plaintext packet never equals the cipher packet with the same bytes.
+@dataclass(frozen=True, slots=True)
+class EnsemblePacket(_Packet):
+    """Plaintext packet: padded payload plus its 1-based chain ordinal."""
 
 
 @dataclass(frozen=True, slots=True)
-class CipherPacket:
+class CipherPacket(_Packet):
     """Encrypted packet; same length and ordinal as its plaintext."""
-
-    payload: bytes
-    index: int = 1
-
-    def __post_init__(self) -> None:
-        _check_block_structure(self.payload)
-        if self.index < 1:
-            raise ValueError("packet index starts at 1")
 
 
 def _check_block_structure(payload: bytes) -> None:

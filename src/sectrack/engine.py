@@ -82,15 +82,10 @@ FRIENDLY_REFERENCE = Role.FRIENDLY_REFERENCE
 MALICIOUS_TARGET = Role.MALICIOUS_TARGET
 
 
-class Friendliness(enum.Enum):
-    UNKNOWN = "unknown"
-    FRIENDLY = "friendly"
-    MALICIOUS = "malicious"
-
-
-UNKNOWN = Friendliness.UNKNOWN
-FRIENDLY = Friendliness.FRIENDLY
-MALICIOUS = Friendliness.MALICIOUS
+# A relation's status is the screen's standing verdict, so its members
+# are the protocol's own.
+FRIENDLY = protocol.FRIENDLY
+MALICIOUS = protocol.MALICIOUS
 
 
 class BeamState(enum.Enum):
@@ -120,7 +115,7 @@ class SectorBeam:
 class FriendRecord:
     """The cluster head's relation with one screened neighbor."""
 
-    status: Friendliness = UNKNOWN
+    status: protocol.Verdict | None = None  # None: no standing verdict
     detected_at: float = 0.0  # time of the last MALICIOUS verdict; read only while MALICIOUS
     consecutive_failures: int = 0
     scanning: bool = False  # a scan owns this relation's recovery
@@ -384,10 +379,7 @@ class Engine:
             if peer_id == self.ch_node.id:
                 continue
             rec = self.relations.get(peer_id)
-            status = rec.status if rec else UNKNOWN
-            if status is MALICIOUS:
-                continue
-            if rec and rec.scanning:
+            if rec and (rec.status is MALICIOUS or rec.scanning):
                 continue
             self._verify(peer_id, t)
 
@@ -401,7 +393,7 @@ class Engine:
         if d > self.cfg.range_limit:
             rec = self.relations.get(peer_id)
             if rec and rec.status is FRIENDLY:
-                rec.status = UNKNOWN
+                rec.status = None
                 self.log.friend_events.append(
                     FriendEvent(t, ch_node.id, peer_id, "out_of_range", 0.0)
                 )
@@ -460,20 +452,20 @@ class Engine:
             rec = self.relations[peer_id] = FriendRecord()
         self.log.verdicts.append(VerdictEvent(t, self.ch_node.id, peer_id, verdict.value))
 
-        if verdict is protocol.FRIENDLY:
-            was_unknown_after_fail = rec.consecutive_failures > 0
-            rec.status = FRIENDLY
+        if verdict is FRIENDLY:
+            recovered = rec.consecutive_failures > 0
+            rec.status = verdict
             rec.consecutive_failures = 0
             rec.scanning = False
             self.log.friend_events.append(
                 FriendEvent(t, self.ch_node.id, peer_id, "reauth_ok", 0.0)
             )
-            if was_unknown_after_fail:
+            if recovered:
                 self._resume_tracks_awaiting(peer_id, t)
             return
 
         if not payload["honest"]:
-            rec.status = MALICIOUS
+            rec.status = verdict
             rec.detected_at = t
             self.log.friend_events.append(
                 FriendEvent(t, self.ch_node.id, peer_id, "detected_malicious", 0.0)
@@ -481,7 +473,7 @@ class Engine:
             return
 
         # Honest relation failed re-authentication: demote and scan.
-        rec.status = UNKNOWN
+        rec.status = None
         rec.consecutive_failures += 1
         scan = SCAN_DURATION + (
             CONSECUTIVE_SCAN_PENALTY if rec.consecutive_failures >= 2 else 0.0
@@ -589,8 +581,7 @@ class Engine:
             node = self.nodes[nid]
             if node.role is not FRIENDLY_REFERENCE or nid in exclude:
                 continue
-            rec = self.relations.get(nid)
-            if rec is None or rec.status is not FRIENDLY:
+            if not self._is_friendly(nid):
                 continue
             d = distance(node.position, around)
             if d > self.cfg.range_limit:
@@ -745,9 +736,13 @@ class Engine:
         ranges = []
         saw_out_of_range = False
         for ref_id, pos in ((ref_a, pos_a), (ref_b, pos_b)):
-            r = self._range_exchange(self.nodes[ref_id], pos, target_pos)
-            if r is None:
-                saw_out_of_range = distance(pos, target_pos) > self.cfg.range_limit
+            try:
+                r = self._range_exchange(self.nodes[ref_id], pos, target_pos)
+            except MeasurementError:
+                ranges = None  # a garbled exchange counts toward OUT_OF_ZONE
+                break
+            if r is None:  # the channel delivers no ping beyond range_limit
+                saw_out_of_range = True
                 ranges = None
                 break
             ranges.append(r)
@@ -833,6 +828,7 @@ class Engine:
     def _range_exchange(
         self, ref: NodeState, ref_pos: Position, target_pos: Position
     ) -> float | None:
+        """The measured range; None when the ping drew no echo (MeasurementError passes up)."""
         # Stamps are exchange-relative: the sub-millisecond exchange sits
         # inside one tick, and absolute-time offsets would only feed
         # floating-point cancellation into the range.
@@ -847,12 +843,7 @@ class Engine:
         toa_a = ch.propagate(
             target_pos, ref_pos, tod_b, self.chan, self.rng_channel, sigma_t=sigma
         )
-        try:
-            return range_from_timestamps(
-                RangeMeasurement(0.0, toa_b, tod_b, toa_a), self.chan.c
-            )
-        except MeasurementError:
-            return None
+        return range_from_timestamps(RangeMeasurement(0.0, toa_b, tod_b, toa_a), self.chan.c)
 
     def _triangulate(
         self,
@@ -915,7 +906,6 @@ class Engine:
         zone = self._form_zone(nodes[0].position, nodes[1].position, track.anchor)
         for node, beam in zip(nodes, beams):
             self._point(node, beam, track.target, zone)
-        return True
 
     def _switch(self, track: Track, old_ref: int, cause: SwitchCause, t: float) -> bool:
         """Pair ``old_ref``'s partner with a fresh reference; False if none qualifies."""

@@ -367,6 +367,12 @@ class TestRecords:
             assert len({record, twin, changed}) == 2
         assert self.KEY != self.SEEDS
 
+    def test_plaintext_and_cipher_packets_are_distinct_types(self):
+        plain, sealed = EnsemblePacket(bytes(32)), CipherPacket(bytes(32))
+        assert plain != sealed
+        assert not isinstance(plain, CipherPacket)
+        assert not isinstance(sealed, EnsemblePacket)
+
     @pytest.mark.parametrize(
         "record, fields, message",
         [

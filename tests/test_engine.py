@@ -8,7 +8,7 @@ import inspect
 
 import pytest
 
-from sectrack import engine, mobility, protocol
+from sectrack import channel, engine, mobility, protocol
 from sectrack.channel import MAX_BEAMS, ranging_noise_std
 from sectrack.config import ScenarioConfig
 from sectrack.engine import (
@@ -19,7 +19,6 @@ from sectrack.engine import (
     EventKind,
     EventQueue,
     FriendRecord,
-    Friendliness,
     NodeState,
     Role,
     SectorBeam,
@@ -27,7 +26,14 @@ from sectrack.engine import (
     Track,
     run_scenario,
 )
-from sectrack.geometry import Position, bearing_deg, point_line_distance, sector_of
+from sectrack.geometry import (
+    MeasurementError,
+    Position,
+    bearing_deg,
+    distance,
+    point_line_distance,
+    sector_of,
+)
 from sectrack.metrics import SwitchCause, TrackRecord, plt_efficiency, write_csv
 from sectrack.scenarios import friendliness_config, multi_target_config, switching_config
 
@@ -57,7 +63,7 @@ BOUND_MEMBERS = [
     (module, member.name, enum_cls)
     for module, enum_cls in (
         (engine, Role),
-        (engine, Friendliness),
+        (engine, protocol.Verdict),
         (engine, BeamState),
         (engine, EventKind),
         (protocol, protocol.Verdict),
@@ -270,13 +276,13 @@ class TestRunScenario:
         eng.run()
         for peer in (1, 2):
             rec = eng.relations[peer]
-            assert rec.status is Friendliness.FRIENDLY
+            assert rec.status is protocol.FRIENDLY
             assert rec.consecutive_failures == 0
 
     def test_target_marked_malicious(self):
         eng = Engine(quiet_cluster(duration=100.0))
         eng.run()
-        assert eng.relations[3].status is Friendliness.MALICIOUS
+        assert eng.relations[3].status is protocol.MALICIOUS
 
     def test_peer_beyond_range_never_screened(self):
         # Static reference 2 sits ~255 m from the cluster head at (200, 200).
@@ -374,6 +380,56 @@ class TestTrackingBehavior:
         log = run_scenario(cfg)
         assert len(log.tracks) == 2
         assert any(ev.cause is SwitchCause.SECTOR_CONTENTION for ev in log.switches)
+
+
+class TestNoFixCause:
+    """Two ticks without a fix switch for OUT_OF_RANGE exactly when a ping drew no echo."""
+
+    @staticmethod
+    def active_track() -> tuple[Engine, Track]:
+        eng = Engine(quiet_cluster(duration=100.0))
+        eng.run()
+        track = eng.tracks[3]
+        assert track.suspension is None
+        truth = eng.nodes[3].position
+        for ref in (track.ref_a, track.ref_b):
+            assert distance(eng.nodes[ref].position, truth) < eng.cfg.range_limit / 2.0
+        return eng, track
+
+    @staticmethod
+    def causes_of_two_ticks(eng: Engine, track: Track, monkeypatch) -> list[SwitchCause]:
+        causes = []
+        switch = Engine.switch_reference
+
+        def recording_switch(self, track, failed_ref, cause, t, reauth=False):
+            causes.append(cause)
+            switch(self, track, failed_ref, cause, t, reauth)
+
+        monkeypatch.setattr(Engine, "switch_reference", recording_switch)
+        for k in (1, 2):
+            eng.tracking_tick(track, eng.now + k * eng.cfg.sample_interval)
+        return causes
+
+    def test_a_lost_ping_is_out_of_range_whatever_the_truth(self, monkeypatch):
+        eng, track = self.active_track()
+        propagate = channel.propagate
+
+        def lossy(tx, rx, t_send, cfg, rng=None, sigma_t=None):
+            if sigma_t is not None:  # only ranging pings pass sigma_t
+                return None
+            return propagate(tx, rx, t_send, cfg, rng, sigma_t)
+
+        monkeypatch.setattr(channel, "propagate", lossy)
+        assert self.causes_of_two_ticks(eng, track, monkeypatch) == [SwitchCause.OUT_OF_RANGE]
+
+    def test_a_garbled_exchange_is_out_of_zone(self, monkeypatch):
+        eng, track = self.active_track()
+
+        def garbled(m, c):
+            raise MeasurementError("negative net flight time")
+
+        monkeypatch.setattr(engine, "range_from_timestamps", garbled)
+        assert self.causes_of_two_ticks(eng, track, monkeypatch) == [SwitchCause.OUT_OF_ZONE]
 
 
 class TestFriendlinessTimers:
@@ -550,7 +606,7 @@ class TestFailedResume:
         t = 60.0
         eng = Engine(friendliness_config(ScenarioConfig(master_seed=1)))
         for ref in (1, 2):
-            eng.relations[ref] = FriendRecord(status=Friendliness.FRIENDLY)
+            eng.relations[ref] = FriendRecord(status=protocol.FRIENDLY)
         track = eng.tracks[3] = Track(
             record=TrackRecord(3),
             ref_a=1,
