@@ -99,9 +99,10 @@ SCANNING = BeamState.SCANNING
 TRACKING = BeamState.TRACKING
 
 
-@dataclass
+@dataclass(eq=False)  # beams compare by identity
 class SectorBeam:
-    sector_index: int
+    """One sector of a node's antenna; its sector is its slot in ``NodeState.sectors``."""
+
     beamwidth: float
     state: BeamState = IDLE
     target_id: int | None = None
@@ -139,6 +140,10 @@ class NodeState:
             if beam.target_id == target and beam.state is not IDLE:
                 return beam
         return None
+
+    def beam_facing(self, toward: Position) -> SectorBeam:
+        """The beam whose sector holds the bearing from this node to ``toward``."""
+        return self.sectors[sector_of(bearing_deg(self.position, toward), len(self.sectors))]
 
     def tracking_beam_count(self) -> int:
         n = 0
@@ -297,10 +302,7 @@ class Engine:
                 )
             else:
                 mob = mobility.make_random_waypoint(pos, cfg.v_min, cfg.v_max, area, node_rng)
-            span = 360.0 / cfg.sectors
-            sectors = [
-                SectorBeam(sector_index=k, beamwidth=span) for k in range(cfg.sectors)
-            ]
+            sectors = [SectorBeam(beamwidth=360.0 / cfg.sectors) for _ in range(cfg.sectors)]
             self.nodes[nid] = NodeState(id=nid, role=role, mobility=mob, sectors=sectors)
             if nid not in static_ids:
                 self._movers.append((self.nodes[nid], node_rng))
@@ -373,6 +375,10 @@ class Engine:
             return True
         return False
 
+    def _relation_event(self, t: float, peer_id: int, event: str, delay: float = 0.0) -> None:
+        """Log a change in the cluster head's relation with ``peer_id``."""
+        self.log.friend_events.append(FriendEvent(t, self.ch_node.id, peer_id, event, delay))
+
     def reauthentication_tick(self, t: float) -> None:
         """Re-verify every known relation and screen new neighbors."""
         for peer_id in sorted(self.nodes):
@@ -394,9 +400,7 @@ class Engine:
             rec = self.relations.get(peer_id)
             if rec and rec.status is FRIENDLY:
                 rec.status = None
-                self.log.friend_events.append(
-                    FriendEvent(t, ch_node.id, peer_id, "out_of_range", 0.0)
-                )
+                self._relation_event(t, peer_id, "out_of_range")
                 self._suspend_tracks_using(peer_id, t, reauth=False)
             return
 
@@ -457,9 +461,7 @@ class Engine:
             rec.status = verdict
             rec.consecutive_failures = 0
             rec.scanning = False
-            self.log.friend_events.append(
-                FriendEvent(t, self.ch_node.id, peer_id, "reauth_ok", 0.0)
-            )
+            self._relation_event(t, peer_id, "reauth_ok")
             if recovered:
                 self._resume_tracks_awaiting(peer_id, t)
             return
@@ -467,9 +469,7 @@ class Engine:
         if not payload["honest"]:
             rec.status = verdict
             rec.detected_at = t
-            self.log.friend_events.append(
-                FriendEvent(t, self.ch_node.id, peer_id, "detected_malicious", 0.0)
-            )
+            self._relation_event(t, peer_id, "detected_malicious")
             return
 
         # Honest relation failed re-authentication: demote and scan.
@@ -479,12 +479,8 @@ class Engine:
             CONSECUTIVE_SCAN_PENALTY if rec.consecutive_failures >= 2 else 0.0
         )
         rec.scanning = True
-        self.log.friend_events.append(
-            FriendEvent(t, self.ch_node.id, peer_id, "reauth_fail", 0.0)
-        )
-        self.log.friend_events.append(
-            FriendEvent(t, self.ch_node.id, peer_id, "scan_start", scan)
-        )
+        self._relation_event(t, peer_id, "reauth_fail")
+        self._relation_event(t, peer_id, "scan_start", scan)
         self.queue.push(t + scan, SCAN_DONE, {"peer": peer_id})
         self._suspend_tracks_using(peer_id, t, reauth=True)
 
@@ -493,9 +489,7 @@ class Engine:
             peer_id = payload["peer"]
             # The reauth_fail verdict that started this scan made the record.
             self.relations[peer_id].scanning = False
-            self.log.friend_events.append(
-                FriendEvent(t, self.ch_node.id, peer_id, "scan_end", 0.0)
-            )
+            self._relation_event(t, peer_id, "scan_end")
             self._verify(peer_id, t)
             return
         # Track scan: retry the reference switch.
@@ -595,7 +589,7 @@ class Engine:
         beam = node.beam_for_target(target)
         if beam is not None:
             return beam
-        beam = node.sectors[sector_of(bearing_deg(node.position, toward), self.cfg.sectors)]
+        beam = node.beam_facing(toward)
         return beam if beam.state is IDLE else None
 
     def _partner_for(
@@ -730,7 +724,7 @@ class Engine:
             return
 
         zone = self._form_zone(pos_a, pos_b, track.anchor)
-        if not self._reselect_sectors(track, zone, prediction, t, pos_a, pos_b):
+        if not self._reselect_sectors(track, zone, prediction, t):
             return
 
         ranges = []
@@ -789,13 +783,7 @@ class Engine:
         )[1]
 
     def _reselect_sectors(
-        self,
-        track: Track,
-        zone: TrackingZone,
-        prediction: Position,
-        t: float,
-        pos_a: Position,
-        pos_b: Position,
+        self, track: Track, zone: TrackingZone, prediction: Position, t: float
     ) -> bool:
         """Point both references' beams at the predicted bearing.
 
@@ -808,14 +796,13 @@ class Engine:
         Returns False when a needed sector is busy with another track and
         the reference had to be switched (sector contention).
         """
-        for ref_id, pos in ((track.ref_a, pos_a), (track.ref_b, pos_b)):
+        for ref_id in (track.ref_a, track.ref_b):
             node = self.nodes[ref_id]
-            want = sector_of(bearing_deg(pos, prediction), self.cfg.sectors)
+            dest = node.beam_facing(prediction)
             beam = node.beam_for_target(track.target)
-            if beam is not None and beam.sector_index == want and beam.state is TRACKING:
+            if beam is dest and beam.state is TRACKING:
                 continue
-            if beam is None or beam.sector_index != want:
-                dest = node.sectors[want]
+            if beam is not dest:
                 if dest.state is TRACKING and dest.target_id != track.target:
                     self.switch_reference(track, ref_id, SwitchCause.SECTOR_CONTENTION, t)
                     return False
@@ -883,13 +870,10 @@ class Engine:
     ) -> Position:
         """Prefer the candidate whose bearing matches the claimed sector."""
         # Never None: _reselect_sectors held or pointed this beam in the same tick.
-        beam = self.nodes[track.ref_a].beam_for_target(track.target)
+        ref = self.nodes[track.ref_a]
+        beam = ref.beam_for_target(track.target)
         points = circle_intersections(pos_a, ranges[0], pos_b, ranges[1])
-        matching = [
-            p
-            for p in points
-            if sector_of(bearing_deg(pos_a, p), self.cfg.sectors) == beam.sector_index
-        ]
+        matching = [p for p in points if ref.beam_facing(p) is beam]
         return matching[0] if len(matching) == 1 else chosen
 
     # ------------------------------------------------------------------

@@ -9,6 +9,8 @@ files are byte-stable for a given config and master seed.  Schemas:
     switching.csv     t,target,old_ref,new_ref,cause,delay_s
     energy.csv        m_beams,energy
     friendliness.csv  t,node,peer,event,delay_s
+
+The switching scenario adds switching_summary.csv (v_max,seed,overhead_s).
 """
 
 from __future__ import annotations
@@ -131,7 +133,8 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-def _write_rows(path: Path, header: str, rows: Iterable[tuple]) -> Path:
+def write_rows(path: Path, header: str, rows: Iterable[tuple]) -> Path:
+    """Write one CSV file, ``header`` then one line per row; every CSV is written here."""
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
@@ -149,22 +152,22 @@ def write_csv(log: MetricsLog, out_dir: str | Path) -> list[Path]:
         for s in log.tracks[target].estimates
     ]
     written = [
-        _write_rows(
+        write_rows(
             out / "detection.csv",
             "p_wh,p_i,p_r,n,closed_form,monte_carlo",
             log.detection_rows,
         ),
-        _write_rows(out / "efficiency.csv", "sector,seed,efficiency", log.efficiency_rows),
-        _write_rows(
+        write_rows(out / "efficiency.csv", "sector,seed,efficiency", log.efficiency_rows),
+        write_rows(
             out / "trajectory.csv", "target,t,true_x,true_y,est_x,est_y,err", trajectory_rows
         ),
-        _write_rows(
+        write_rows(
             out / "switching.csv",
             "t,target,old_ref,new_ref,cause,delay_s",
             log.switches,
         ),
-        _write_rows(out / "energy.csv", "m_beams,energy", log.energy_rows),
-        _write_rows(
+        write_rows(out / "energy.csv", "m_beams,energy", log.energy_rows),
+        write_rows(
             out / "friendliness.csv", "t,node,peer,event,delay_s", log.friend_events
         ),
     ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 from sectrack import protocol
@@ -19,7 +20,7 @@ from sectrack.cipher import derive_stream_seed
 from sectrack.config import SCENARIO_NAMES, ConfigError, ScenarioConfig, echo_config
 from sectrack.engine import run_scenario
 from sectrack.geometry import Position
-from sectrack.metrics import MetricsLog, plt_efficiency, switching_overhead, write_csv
+from sectrack.metrics import MetricsLog, plt_efficiency, switching_overhead, write_csv, write_rows
 
 DETECTION_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DETECTION_KEY_COUNTS = (1, 2, 4, 8)
@@ -238,12 +239,6 @@ def run_friendliness(cfg: ScenarioConfig) -> MetricsLog:
     return run_scenario(friendliness_config(cfg))
 
 
-def _write_summary(path: Path, rows: list[tuple[float, int, float]]) -> None:
-    lines = ["v_max,seed,overhead_s"]
-    lines.extend(f"{v!r},{seed},{o!r}" for v, seed, o in rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
 def run(scenario_name: str, cfg: ScenarioConfig, out_dir: str | Path) -> int:
     """Dispatch one named scenario (or `all`); 0 iff every output landed.
 
@@ -274,15 +269,15 @@ def run(scenario_name: str, cfg: ScenarioConfig, out_dir: str | Path) -> int:
         elif scenario_name == "switching":
             log, summary = run_switching(cfg)
             write_csv(log, out)
-            _write_summary(out / "switching_summary.csv", summary)
+            write_rows(out / "switching_summary.csv", "v_max,seed,overhead_s", summary)
         elif scenario_name == "energy":
             write_csv(run_energy(cfg), out)
         elif scenario_name == "friendliness":
             write_csv(run_friendliness(cfg), out)
         else:
-            print(f"unknown scenario '{scenario_name}'")
+            print(f"unknown scenario '{scenario_name}'", file=sys.stderr)
             return 2
         return 0
     except OSError as exc:
-        print(f"output failure in scenario '{scenario_name}': {exc}")
+        print(f"output failure in scenario '{scenario_name}': {exc}", file=sys.stderr)
         return 1

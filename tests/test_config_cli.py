@@ -299,6 +299,14 @@ class TestCli:
         assert err.startswith("config error:") and "80 m" in err
         assert not any(tmp_path.iterdir())
 
+    def test_output_failure_goes_to_stderr(self, tmp_path, capsys):
+        out = tmp_path / "a_file"
+        out.write_text("")
+        assert main(["--scenario", "energy", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("output failure in scenario 'energy':")
+        assert captured.out == ""
+
     def test_set_flag_validation_error(self, tmp_path):
         assert main([
             "--scenario", "energy", "--out", str(tmp_path),

@@ -88,8 +88,8 @@ class TestBeamForTarget:
     @staticmethod
     def node(*states_and_targets) -> NodeState:
         sectors = [
-            SectorBeam(sector_index=k, beamwidth=90.0, state=state, target_id=target)
-            for k, (state, target) in enumerate(states_and_targets)
+            SectorBeam(beamwidth=90.0, state=state, target_id=target)
+            for state, target in states_and_targets
         ]
         mob = mobility.make_parallel_path(Position(0.0, 0.0), 0.0, 0.0)
         return NodeState(id=1, role=Role.FRIENDLY_REFERENCE, mobility=mob, sectors=sectors)
@@ -771,7 +771,12 @@ class TestBeamClaims:
         eng.run()
         track = eng.tracks[3]
         beams = [eng.nodes[rid].beam_for_target(3) for rid in (track.ref_a, track.ref_b)]
-        before = [(b.state, b.target_id, b.sector_index, b.beamwidth) for b in beams]
+        slots = [eng.nodes[rid].sectors for rid in (track.ref_a, track.ref_b)]
+
+        def held():
+            return [(b.state, b.target_id, s.index(b), b.beamwidth) for b, s in zip(beams, slots)]
+
+        before = held()
         assert all(state is BeamState.TRACKING for state, *_ in before)
 
         def no_claim(*args):
@@ -781,7 +786,7 @@ class TestBeamClaims:
         fixes = len(track.record.estimates)
         eng.tracking_tick(track, eng.cfg.duration + eng.cfg.sample_interval)
         assert len(track.record.estimates) == fixes + 1  # the tick ran to a fix
-        assert [(b.state, b.target_id, b.sector_index, b.beamwidth) for b in beams] == before
+        assert held() == before
 
 
 class TestPerConfigTables:

@@ -37,8 +37,9 @@ class TestMultiTargetConstruct:
         assert len(with_primary) >= 3  # primary appears in several pairs at once
         partners = {tr.partner_of(1) for tr in with_primary}
         assert len(partners) == len(with_primary)  # distinct partner per pair
+        primary = eng.nodes[1]
         sectors = [
-            eng.nodes[1].beam_for_target(tr.target).sector_index for tr in with_primary
+            primary.sectors.index(primary.beam_for_target(tr.target)) for tr in with_primary
         ]
         assert len(set(sectors)) == len(sectors)
 
