@@ -283,28 +283,30 @@ class Engine:
             if nid == 0:
                 role = CLUSTER_HEAD
                 default_pos = Position(area / 2.0, area / 2.0)
-            elif nid >= first_target:
-                role = MALICIOUS_TARGET
-                default_pos = Position(rng.uniform(0, area), rng.uniform(0, area))
             else:
-                role = FRIENDLY_REFERENCE
+                role = MALICIOUS_TARGET if nid >= first_target else FRIENDLY_REFERENCE
                 default_pos = Position(rng.uniform(0, area), rng.uniform(0, area))
             pos = placements.get(nid, default_pos)
-            node_rng = np.random.default_rng(
-                cipher.derive_stream_seed(cfg.master_seed, "mobility", nid)
-            )
             if nid in static_ids:
-                mob = mobility.make_random_waypoint(pos, 0.0, 0.0, area, node_rng)
-            elif role is MALICIOUS_TARGET and cfg.model == "parallel_path":
-                speed = float(node_rng.uniform(cfg.v_min, cfg.v_max))
-                mob = mobility.make_parallel_path(
-                    placements.get(nid, lanes[nid]), speed, cfg.heading
-                )
+                # A static node never draws, so it gets no mobility stream.
+                node_rng = None
+                mob = mobility.MobilityState(position=pos, waypoint=pos)
             else:
-                mob = mobility.make_random_waypoint(pos, cfg.v_min, cfg.v_max, area, node_rng)
+                node_rng = np.random.default_rng(
+                    cipher.derive_stream_seed(cfg.master_seed, "mobility", nid)
+                )
+                if role is MALICIOUS_TARGET and cfg.model == "parallel_path":
+                    speed = float(node_rng.uniform(cfg.v_min, cfg.v_max))
+                    mob = mobility.make_parallel_path(
+                        placements.get(nid, lanes[nid]), speed, cfg.heading
+                    )
+                else:
+                    mob = mobility.make_random_waypoint(
+                        pos, cfg.v_min, cfg.v_max, area, node_rng
+                    )
             sectors = [SectorBeam(beamwidth=360.0 / cfg.sectors) for _ in range(cfg.sectors)]
             self.nodes[nid] = NodeState(id=nid, role=role, mobility=mob, sectors=sectors)
-            if nid not in static_ids:
+            if node_rng is not None:
                 self._movers.append((self.nodes[nid], node_rng))
 
     def _schedule_all(self) -> None:

@@ -10,7 +10,8 @@ files are byte-stable for a given config and master seed.  Schemas:
     energy.csv        m_beams,energy
     friendliness.csv  t,node,peer,event,delay_s
 
-The switching scenario adds switching_summary.csv (v_max,seed,overhead_s).
+``write_csv`` writes every CSV of a tree, and adds switching_summary.csv
+(v_max,seed,overhead_s) for a log that carries summary rows.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ class MetricsLog:
     )
     energy_rows: list[tuple[int, float]] = field(default_factory=list)
     efficiency_rows: list[tuple[int, int, float]] = field(default_factory=list)
+    switching_summary: list[tuple[float, int, float]] = field(default_factory=list)
 
 
 def plt_efficiency(track: TrackRecord, tol: float = 5.0) -> float:
@@ -122,7 +124,7 @@ def mean_tracking_error(track: TrackRecord) -> float:
 
 def switching_overhead(log: MetricsLog) -> float:
     """Seconds of scan plus authentication delay spent on switches."""
-    return sum(ev.delay_s for ev in log.switches)
+    return sum((ev.delay_s for ev in log.switches), 0.0)
 
 
 def _fmt(v: Any) -> str:
@@ -133,8 +135,7 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-def write_rows(path: Path, header: str, rows: Iterable[tuple]) -> Path:
-    """Write one CSV file, ``header`` then one line per row; every CSV is written here."""
+def _write_rows(path: Path, header: str, rows: Iterable[tuple]) -> Path:
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
@@ -142,7 +143,8 @@ def write_rows(path: Path, header: str, rows: Iterable[tuple]) -> Path:
 
 
 def write_csv(log: MetricsLog, out_dir: str | Path) -> list[Path]:
-    """Emit the six fixed-schema files; headers always, rows where data exists."""
+    """Emit the six fixed-schema files, headers always and rows where data
+    exists, plus switching_summary.csv when the log has summary rows."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -151,24 +153,14 @@ def write_csv(log: MetricsLog, out_dir: str | Path) -> list[Path]:
         for target in sorted(log.tracks)
         for s in log.tracks[target].estimates
     ]
-    written = [
-        write_rows(
-            out / "detection.csv",
-            "p_wh,p_i,p_r,n,closed_form,monte_carlo",
-            log.detection_rows,
-        ),
-        write_rows(out / "efficiency.csv", "sector,seed,efficiency", log.efficiency_rows),
-        write_rows(
-            out / "trajectory.csv", "target,t,true_x,true_y,est_x,est_y,err", trajectory_rows
-        ),
-        write_rows(
-            out / "switching.csv",
-            "t,target,old_ref,new_ref,cause,delay_s",
-            log.switches,
-        ),
-        write_rows(out / "energy.csv", "m_beams,energy", log.energy_rows),
-        write_rows(
-            out / "friendliness.csv", "t,node,peer,event,delay_s", log.friend_events
-        ),
+    tables = [
+        ("detection.csv", "p_wh,p_i,p_r,n,closed_form,monte_carlo", log.detection_rows),
+        ("efficiency.csv", "sector,seed,efficiency", log.efficiency_rows),
+        ("trajectory.csv", "target,t,true_x,true_y,est_x,est_y,err", trajectory_rows),
+        ("switching.csv", "t,target,old_ref,new_ref,cause,delay_s", log.switches),
+        ("energy.csv", "m_beams,energy", log.energy_rows),
+        ("friendliness.csv", "t,node,peer,event,delay_s", log.friend_events),
     ]
-    return written
+    if log.switching_summary:
+        tables.append(("switching_summary.csv", "v_max,seed,overhead_s", log.switching_summary))
+    return [_write_rows(out / name, header, rows) for name, header, rows in tables]

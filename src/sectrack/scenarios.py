@@ -13,14 +13,15 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 from sectrack import protocol
 from sectrack.channel import received_energy
 from sectrack.cipher import derive_stream_seed
-from sectrack.config import SCENARIO_NAMES, ConfigError, ScenarioConfig, echo_config
+from sectrack.config import ConfigError, ScenarioConfig, echo_config
 from sectrack.engine import run_scenario
 from sectrack.geometry import Position
-from sectrack.metrics import MetricsLog, plt_efficiency, switching_overhead, write_csv, write_rows
+from sectrack.metrics import MetricsLog, plt_efficiency, switching_overhead, write_csv
 
 DETECTION_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DETECTION_KEY_COUNTS = (1, 2, 4, 8)
@@ -176,9 +177,9 @@ def switching_config(cfg: ScenarioConfig, v_max: float, master_seed: int) -> Sce
 SWITCHING_SPEEDS = (5.0, 20.0)
 
 
-def run_switching(cfg: ScenarioConfig) -> tuple[MetricsLog, list[tuple[float, int, float]]]:
-    """Paired-seed speed sweep; returns the slow-speed representative log
-    plus (v_max, seed, overhead_s) summary rows."""
+def run_switching(cfg: ScenarioConfig) -> MetricsLog:
+    """Paired-seed speed sweep: the slow-speed representative log of the
+    first seed, carrying one (v_max, seed, overhead_s) summary row per run."""
     summary: list[tuple[float, int, float]] = []
     representative: MetricsLog | None = None
     for rep in range(cfg.seeds):
@@ -189,7 +190,8 @@ def run_switching(cfg: ScenarioConfig) -> tuple[MetricsLog, list[tuple[float, in
             if representative is None:
                 representative = log
     assert representative is not None
-    return representative, summary
+    representative.switching_summary = summary
+    return representative
 
 
 def friendliness_config(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -239,44 +241,36 @@ def run_friendliness(cfg: ScenarioConfig) -> MetricsLog:
     return run_scenario(friendliness_config(cfg))
 
 
-def run(scenario_name: str, cfg: ScenarioConfig, out_dir: str | Path) -> int:
-    """Dispatch one named scenario (or `all`); 0 iff every output landed.
+# Every scenario but ``all``, in SCENARIO_NAMES order; ``all`` runs each in turn.
+RUNNERS: dict[str, Callable[[ScenarioConfig], MetricsLog]] = {
+    "detection": run_detection,
+    "multi-target": run_multi_target,
+    "trajectory": run_trajectory,
+    "switching": run_switching,
+    "energy": run_energy,
+    "friendliness": run_friendliness,
+}
 
-    Raises ConfigError, before writing anything, when the area is too
-    small for the friendliness layout and that scenario would run.
+
+def run(scenario_name: str, cfg: ScenarioConfig, out_dir: str | Path) -> int:
+    """Run one named scenario (or `all`); 0 iff every output landed.
+
+    Returns 2 for an unknown name and raises ConfigError when the area is
+    too small for the friendliness layout and that scenario would run,
+    both before writing anything.
     """
+    if scenario_name != "all" and scenario_name not in RUNNERS:
+        print(f"unknown scenario '{scenario_name}'", file=sys.stderr)
+        return 2
     if scenario_name in ("all", "friendliness"):
         _check_friendliness_area(cfg)
     out = Path(out_dir)
     try:
-        if scenario_name == "all":
-            out.mkdir(parents=True, exist_ok=True)
-            echo_config(cfg, out / "effective.cfg")
-            status = 0
-            for name in SCENARIO_NAMES:
-                if name != "all":
-                    status = max(status, run(name, cfg, out / name))
-            return status
-
         out.mkdir(parents=True, exist_ok=True)
         echo_config(cfg, out / "effective.cfg")
-        if scenario_name == "detection":
-            write_csv(run_detection(cfg), out)
-        elif scenario_name == "multi-target":
-            write_csv(run_multi_target(cfg), out)
-        elif scenario_name == "trajectory":
-            write_csv(run_trajectory(cfg), out)
-        elif scenario_name == "switching":
-            log, summary = run_switching(cfg)
-            write_csv(log, out)
-            write_rows(out / "switching_summary.csv", "v_max,seed,overhead_s", summary)
-        elif scenario_name == "energy":
-            write_csv(run_energy(cfg), out)
-        elif scenario_name == "friendliness":
-            write_csv(run_friendliness(cfg), out)
-        else:
-            print(f"unknown scenario '{scenario_name}'", file=sys.stderr)
-            return 2
+        if scenario_name == "all":
+            return max(run(name, cfg, out / name) for name in RUNNERS)
+        write_csv(RUNNERS[scenario_name](cfg), out)
         return 0
     except OSError as exc:
         print(f"output failure in scenario '{scenario_name}': {exc}", file=sys.stderr)

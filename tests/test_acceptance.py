@@ -224,7 +224,7 @@ def test_criterion_6_efficiency_ordering():
 
 def test_criterion_7_switching_overhead_monotonic():
     start = time.monotonic()
-    _, summary = run_switching(ScenarioConfig(master_seed=1, seeds=50))
+    summary = run_switching(ScenarioConfig(master_seed=1, seeds=50)).switching_summary
     lo = [o for v, _s, o in summary if v == 5.0]
     hi = [o for v, _s, o in summary if v == 20.0]
     elapsed = time.monotonic() - start

@@ -110,7 +110,8 @@ class TestMeanError:
 
 class TestSwitchingOverhead:
     def test_zero_switches(self):
-        assert switching_overhead(MetricsLog()) == 0.0
+        # A float, so a run without a switch writes 0.0 like any other row.
+        assert repr(switching_overhead(MetricsLog())) == "0.0"
 
     def test_sums_delays_in_window(self):
         log = MetricsLog()
@@ -146,6 +147,14 @@ class TestWriteCsv:
             assert lines[0] == header
             for line in lines[1:]:
                 assert len(line.split(",")) == len(header.split(","))
+
+    def test_switching_summary_only_for_a_log_with_summary_rows(self, tmp_path):
+        log = MetricsLog()
+        assert "switching_summary.csv" not in {f.name for f in write_csv(log, tmp_path / "a")}
+        log.switching_summary = [(5.0, 0, 0.0), (20.0, 0, 2.0)]
+        assert tmp_path / "b" / "switching_summary.csv" in write_csv(log, tmp_path / "b")
+        body = (tmp_path / "b" / "switching_summary.csv").read_text()
+        assert body == "v_max,seed,overhead_s\n5.0,0,0.0\n20.0,0,2.0\n"
 
     def test_byte_stable(self, tmp_path):
         cfg = ScenarioConfig(node_count=15, malicious_count=2, duration=100.0, master_seed=31)

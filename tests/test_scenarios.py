@@ -7,13 +7,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from sectrack.config import ConfigError, ScenarioConfig, parse_config
+from sectrack.config import SCENARIO_NAMES, ConfigError, ScenarioConfig, parse_config
 from sectrack.cipher import derive_stream_seed
 from sectrack.engine import Engine
 from sectrack.geometry import Position
 from sectrack.metrics import switching_overhead
 from sectrack.scenarios import (
     FRIENDLINESS_MIN_SIDE,
+    RUNNERS,
     friendliness_config,
     multi_target_config,
     run_detection,
@@ -97,6 +98,15 @@ class TestClosedFormScenarios:
         b = derive_stream_seed(7, "multi-target", 1)
         c = derive_stream_seed(7, "switching", 0)
         assert len({a, b, c}) == 3
+
+
+class TestScenarioTable:
+    def test_every_scenario_but_all_has_a_runner_in_name_order(self):
+        assert SCENARIO_NAMES == (*RUNNERS, "all")
+
+    def test_unknown_name_is_refused_before_any_output(self, tmp_path):
+        assert run_named("nosuch", ScenarioConfig(master_seed=1), tmp_path / "x") == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestLayoutsScaleWithTheArea:
