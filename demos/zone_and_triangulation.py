@@ -2,10 +2,9 @@
 
 import numpy as np
 
-from sectrack.channel import ChannelConfig, propagate
+from sectrack.channel import ChannelConfig, exchange
 from sectrack.geometry import (
     Position,
-    RangeMeasurement,
     beamwidth_for_zone,
     distance,
     form_zone,
@@ -32,12 +31,8 @@ for name, ref in (("A", ref_a), ("B", ref_b)):
     print(f"ref {name}: sector {sec}, beamwidth {width:.1f} deg")
 
 def measure(ref):
-    toa_b = propagate(ref, truth, 0.0, chan, rng)
-    tod_b = toa_b + 2e-4  # responder hold time, cancels exactly
-    toa_a = propagate(truth, ref, tod_b, chan, rng)
-    return range_from_timestamps(
-        RangeMeasurement(tod_a=0.0, toa_b=toa_b, tod_b=tod_b, toa_a=toa_a), chan.c
-    )
+    # The responder holds 2e-4 s before it echoes; the hold cancels exactly.
+    return range_from_timestamps(exchange(ref, truth, 0.0, 2e-4, chan, rng), chan.c)
 
 r_a, r_b = measure(ref_a), measure(ref_b)
 print(f"\nmeasured ranges: {r_a:.2f} m (true {distance(ref_a, truth):.2f}), "

@@ -1,7 +1,8 @@
 """Timing, range and energy model of the radio links.
 
 Propagation is line-of-sight with Gaussian timestamp noise and a hard
-range cutoff; all richer channel effects are folded into the one noise
+range cutoff, and the channel times every two-way exchange as two
+propagated legs; all richer channel effects are folded into the one noise
 knob.  Transmit energy splits across a node's simultaneously active
 sectored beams and loses an interference term per extra beam, which is
 what couples beam count to ranging accuracy.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sectrack.geometry import Position, distance
+from sectrack.geometry import Position, RangeMeasurement, distance
 
 # Largest beam count the energy model must stay positive for.
 MAX_BEAMS = 8
@@ -91,6 +92,28 @@ def propagate(
     sigma = cfg.sigma_t if sigma_t is None else sigma_t
     noise = rng.normal(0.0, sigma) if (rng is not None and sigma > 0.0) else 0.0
     return t_send + d / cfg.c + noise
+
+
+def exchange(
+    a: Position,
+    b: Position,
+    t_send: float,
+    hold: float,
+    cfg: ChannelConfig,
+    rng: np.random.Generator | NormalStream | None = None,
+    sigma_t: float | None = None,
+) -> RangeMeasurement | None:
+    """Stamps of one two-way exchange, or None when the ping is not delivered.
+
+    ``a`` pings ``b`` at t_send and ``b`` echoes ``hold`` seconds after the
+    ping lands, one ``propagate`` leg each.  A lost ping draws nothing; the
+    echo spans the same distance, so it is never lost.
+    """
+    if distance(a, b) > cfg.range_limit:
+        return None
+    toa_b = propagate(a, b, t_send, cfg, rng, sigma_t)
+    tod_b = toa_b + hold
+    return RangeMeasurement(t_send, toa_b, tod_b, propagate(b, a, tod_b, cfg, rng, sigma_t))
 
 
 def received_energy(cfg: ChannelConfig, m_active_beams: int) -> float:

@@ -30,7 +30,6 @@ from sectrack.geometry import (
     NoFixError,
     OutOfZoneError,
     Position,
-    RangeMeasurement,
     TrackingZone,
     beamwidth_for_zone,
     bearing_deg,
@@ -397,32 +396,26 @@ class Engine:
         peer = self.nodes[peer_id]
         ch_pos = ch_node.position
         peer_pos = peer.position
-        d = distance(ch_pos, peer_pos)
-        if d > self.cfg.range_limit:
+        # Preamble: two ping/echo exchanges so each side holds an RTT sample:
+        # the initiator's, then the candidate's, sent when the first echo
+        # arrives.  Both span one distance, so only the first can be lost.
+        first = ch.exchange(ch_pos, peer_pos, t, 0.0, self.chan, self.rng_channel)
+        if first is None:
             rec = self.relations.get(peer_id)
             if rec and rec.status is FRIENDLY:
                 rec.status = None
                 self._relation_event(t, peer_id, "out_of_range")
                 self._suspend_tracks_using(peer_id, t, reauth=False)
             return
-
-        # Preamble: two ping/echo exchanges so each side holds an RTT sample:
-        # the initiator's ping and echo, then the candidate's.  Each arrival
-        # is never None: propagate repeats the range test passed above.
-        propagate = ch.propagate
-        chan = self.chan
-        rng = self.rng_channel
-        a1 = propagate(ch_pos, peer_pos, t, chan, rng)
-        a2 = propagate(peer_pos, ch_pos, a1, chan, rng)
-        a3 = propagate(peer_pos, ch_pos, a2, chan, rng)
-        t_cursor = propagate(ch_pos, peer_pos, a3, chan, rng)
+        second = ch.exchange(peer_pos, ch_pos, first.toa_a, 0.0, self.chan, self.rng_channel)
         # timestamp noise can push a near-field RTT below zero; both sides
         # clamp into the first quantization bucket
-        rtt_initiator = max((a1 - t) + (a2 - a1), 0.0)
-        rtt_candidate = max((a3 - a2) + (t_cursor - a3), 0.0)
+        rtt_initiator = max((first.toa_b - first.tod_a) + (first.toa_a - first.toa_b), 0.0)
+        rtt_candidate = max((second.toa_b - second.tod_a) + (second.toa_a - second.toa_b), 0.0)
 
         # Location seed from the positions carried in the preamble; both
         # sides quantize the initiator->candidate distance and bearing.
+        d = distance(ch_pos, peer_pos)
         bear = bearing_deg(ch_pos, peer_pos)
         init_seeds = cipher.SeedPair.from_measurements(d, bear, rtt_initiator, self.cfg.rtt_bucket)
         cand_seeds = cipher.SeedPair.from_measurements(d, bear, rtt_candidate, self.cfg.rtt_bucket)
@@ -433,7 +426,7 @@ class Engine:
             cand_seeds = cipher.SeedPair(cand_seeds.loc_seed, cand_seeds.rtt_seed + 1)
 
         challenge_time = 2.0 * self.cfg.j_max * d / self.chan.c
-        decided_at = t_cursor + challenge_time + self.cfg.auth_duration
+        decided_at = second.toa_a + challenge_time + self.cfg.auth_duration
         verdict = protocol.complete_verification(
             init_seeds,
             cand_seeds,
@@ -732,16 +725,20 @@ class Engine:
         ranges = []
         saw_out_of_range = False
         for ref_id, pos in ((ref_a, pos_a), (ref_b, pos_b)):
-            try:
-                r = self._range_exchange(self.nodes[ref_id], pos, target_pos)
-            except MeasurementError:
-                ranges = None  # a garbled exchange counts toward OUT_OF_ZONE
-                break
-            if r is None:  # the channel delivers no ping beyond range_limit
+            # Stamps are exchange-relative: the sub-millisecond exchange sits
+            # inside one tick, and absolute-time offsets would only feed
+            # floating-point cancellation into the range.
+            sigma = self.ranging_sigma[self.nodes[ref_id].tracking_beam_count()]
+            m = ch.exchange(pos, target_pos, 0.0, PROCESSING_DELAY, self.chan, self.rng_channel, sigma)
+            if m is None:  # the ping drew no echo
                 saw_out_of_range = True
                 ranges = None
                 break
-            ranges.append(r)
+            try:
+                ranges.append(range_from_timestamps(m, self.chan.c))
+            except MeasurementError:
+                ranges = None  # a garbled exchange counts toward OUT_OF_ZONE
+                break
 
         est = None
         ambiguous = False
@@ -813,26 +810,6 @@ class Engine:
                 beam = dest
             self._point(node, beam, track.target, zone)
         return True
-
-    def _range_exchange(
-        self, ref: NodeState, ref_pos: Position, target_pos: Position
-    ) -> float | None:
-        """The measured range; None when the ping drew no echo (MeasurementError passes up)."""
-        # Stamps are exchange-relative: the sub-millisecond exchange sits
-        # inside one tick, and absolute-time offsets would only feed
-        # floating-point cancellation into the range.
-        sigma = self.ranging_sigma[ref.tracking_beam_count()]
-        toa_b = ch.propagate(
-            ref_pos, target_pos, 0.0, self.chan, self.rng_channel, sigma_t=sigma
-        )
-        if toa_b is None:
-            return None
-        tod_b = toa_b + PROCESSING_DELAY
-        # Never None: the echo leg spans the same distance as the ping.
-        toa_a = ch.propagate(
-            target_pos, ref_pos, tod_b, self.chan, self.rng_channel, sigma_t=sigma
-        )
-        return range_from_timestamps(RangeMeasurement(0.0, toa_b, tod_b, toa_a), self.chan.c)
 
     def _triangulate(
         self,

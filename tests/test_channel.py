@@ -9,11 +9,12 @@ from sectrack.channel import (
     NOISE_BLOCK,
     ChannelConfig,
     NormalStream,
+    exchange,
     propagate,
     ranging_noise_std,
     received_energy,
 )
-from sectrack.geometry import Position, distance
+from sectrack.geometry import Position, RangeMeasurement, distance
 
 
 class TestPropagate:
@@ -52,6 +53,39 @@ class TestPropagate:
         a = propagate(Position(0, 0), Position(50, 50), 2.0, cfg)
         b = propagate(Position(0, 0), Position(50, 50), 2.0, cfg)
         assert a == b
+
+
+class TestExchange:
+    def test_stamps_are_two_propagate_calls_in_a_row(self):
+        cfg = ChannelConfig()
+        a, b = Position(12.5, 40.0), Position(180.25, 97.0)
+        stream = NormalStream(np.random.default_rng(8))
+        oracle = NormalStream(np.random.default_rng(8))
+        for k in range(NOISE_BLOCK):  # two draws each, so the block boundary is crossed
+            sigma = ranging_noise_std(cfg, 1 + k % 4)
+            t = 0.5 * k
+            toa_b = propagate(a, b, t, cfg, oracle, sigma)
+            tod_b = toa_b + 2.0e-4
+            toa_a = propagate(b, a, tod_b, cfg, oracle, sigma)
+            measured = exchange(a, b, t, 2.0e-4, cfg, stream, sigma)
+            assert type(measured) is RangeMeasurement
+            assert measured == (t, toa_b, tod_b, toa_a)
+
+    def test_a_lost_ping_returns_none_and_draws_nothing(self):
+        cfg = ChannelConfig()
+        stream = NormalStream(np.random.default_rng(9))
+        oracle = NormalStream(np.random.default_rng(9))
+        assert exchange(Position(0, 0), Position(0, 250.5), 1.0, 0.0, cfg, stream) is None
+        assert stream.normal(0.0, 1.0) == oracle.normal(0.0, 1.0)
+        assert exchange(Position(0, 0), Position(0, 250.0), 1.0, 0.0, cfg, stream) is not None
+
+    def test_zero_hold_echoes_on_arrival(self):
+        cfg = ChannelConfig()
+        stream = NormalStream(np.random.default_rng(10))
+        for x in (0.0, 1.0, 99.9, 250.0):
+            m = exchange(Position(0, 0), Position(x, 0), 3.0, 0.0, cfg, stream)
+            assert m.tod_a == 3.0
+            assert m.tod_b == m.toa_b
 
 
 class TestReceivedEnergy:

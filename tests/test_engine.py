@@ -293,6 +293,28 @@ class TestRunScenario:
         assert {ev.peer for ev in log.verdicts} == {1, 3}
         assert 2 not in eng.relations
 
+    def test_a_friendly_peer_beyond_range_lapses_without_a_draw(self):
+        # A noisy channel, so an in-range screen would draw.
+        cfg = quiet_cluster(sigma_t=5.0e-9)
+        cfg.placements[2] = Position(20.0, 20.0)  # ~255 m from the cluster head
+        eng = Engine(cfg)
+        # Peers 1 and 3 stand detected, so the sweep screens peer 2 alone.
+        for peer in (1, 3):
+            eng.relations[peer] = FriendRecord(status=protocol.MALICIOUS)
+        rec = eng.relations[2] = FriendRecord(status=protocol.FRIENDLY)
+
+        class NoDraws:
+            def normal(self, loc, scale):
+                raise AssertionError("the channel stream was drawn from")
+
+        eng.rng_channel = NoDraws()
+        eng.reauthentication_tick(30.0)
+        assert rec.status is None
+        assert [(ev.t, ev.peer, ev.event) for ev in eng.log.friend_events] == [
+            (30.0, 2, "out_of_range")
+        ]
+        assert len(eng.queue) == 0  # no verdict is scheduled
+
 
 class TestTrackingBehavior:
     def test_sector_crossing_keeps_track(self):
@@ -412,14 +434,14 @@ class TestNoFixCause:
 
     def test_a_lost_ping_is_out_of_range_whatever_the_truth(self, monkeypatch):
         eng, track = self.active_track()
-        propagate = channel.propagate
+        exchange = channel.exchange
 
-        def lossy(tx, rx, t_send, cfg, rng=None, sigma_t=None):
-            if sigma_t is not None:  # only ranging pings pass sigma_t
+        def lossy(a, b, t_send, hold, cfg, rng=None, sigma_t=None):
+            if sigma_t is not None:  # only ranging exchanges pass sigma_t
                 return None
-            return propagate(tx, rx, t_send, cfg, rng, sigma_t)
+            return exchange(a, b, t_send, hold, cfg, rng, sigma_t)
 
-        monkeypatch.setattr(channel, "propagate", lossy)
+        monkeypatch.setattr(channel, "exchange", lossy)
         assert self.causes_of_two_ticks(eng, track, monkeypatch) == [SwitchCause.OUT_OF_RANGE]
 
     def test_a_garbled_exchange_is_out_of_zone(self, monkeypatch):
@@ -430,6 +452,98 @@ class TestNoFixCause:
 
         monkeypatch.setattr(engine, "range_from_timestamps", garbled)
         assert self.causes_of_two_ticks(eng, track, monkeypatch) == [SwitchCause.OUT_OF_ZONE]
+
+
+class TestTickRules:
+    """The tick's geometric rules, each on a constructed track of ``quiet_cluster``.
+
+    References 1 and 2 sit at (160, 200) and (240, 200), so their baseline
+    is the line y = 200, and target 3 sits at (200, 260).
+    """
+
+    @staticmethod
+    def tick_with_anchor(eng: Engine, track: Track, anchor: Position, monkeypatch) -> list:
+        """Tick once with the track predicting ``anchor``; return the switches it asked for."""
+        switches = []
+        monkeypatch.setattr(
+            Engine,
+            "switch_reference",
+            lambda self, track, failed_ref, cause, t, reauth=False: switches.append(
+                (failed_ref, cause)
+            ),
+        )
+        t = eng.now + eng.cfg.sample_interval
+        track.anchor, track.anchor_time, track.vel_est = anchor, t, (0.0, 0.0)
+        eng.tracking_tick(track, t)
+        return switches
+
+    def test_far_ref_is_the_farther_reference(self):
+        eng, track = TestNoFixCause.active_track()
+        pos_a, pos_b = eng.nodes[track.ref_a].position, eng.nodes[track.ref_b].position
+        assert eng._far_ref(track, Position(170.0, 230.0), pos_a, pos_b) == track.ref_b
+        assert eng._far_ref(track, Position(230.0, 230.0), pos_a, pos_b) == track.ref_a
+
+    @pytest.mark.parametrize("offset", [0.3, 0.45])
+    def test_a_prediction_near_the_baseline_switches_the_far_reference(
+        self, offset, monkeypatch
+    ):
+        # Between BASELINE_MARGIN / 4 and / 2 off the baseline, nearer reference 1.
+        eng, track = TestNoFixCause.active_track()
+        prediction = Position(190.0, 200.0 + offset * BASELINE_MARGIN)
+        assert {track.ref_a, track.ref_b} == {1, 2}
+        switches = self.tick_with_anchor(eng, track, prediction, monkeypatch)
+        assert switches == [(2, SwitchCause.OUT_OF_ZONE)]
+
+    def test_a_prediction_past_half_the_margin_keeps_its_pair(self, monkeypatch):
+        eng, track = TestNoFixCause.active_track()
+        prediction = Position(190.0, 200.0 + 0.55 * BASELINE_MARGIN)
+        before = len(track.record.estimates)
+        assert self.tick_with_anchor(eng, track, prediction, monkeypatch) == []
+        assert len(track.record.estimates) == before + 1
+
+    @pytest.mark.parametrize(
+        "fix, kept",
+        [
+            (Position(-engine.AREA_SLACK - 0.5, 200.0), False),
+            (Position(200.0, 400.0 + engine.AREA_SLACK + 0.5), False),
+            (Position(-engine.AREA_SLACK + 0.5, 200.0), True),
+            (Position(200.0, 400.0 + engine.AREA_SLACK - 0.5), True),
+        ],
+    )
+    def test_a_fix_outside_the_area_is_a_no_fix(self, fix, kept, monkeypatch):
+        eng, track = TestNoFixCause.active_track()
+        assert eng.cfg.area_side == 400.0
+        monkeypatch.setattr(Engine, "_triangulate", lambda self, *args: (fix, False))
+        before = len(track.record.estimates)
+        t = eng.now + eng.cfg.sample_interval
+        eng.tracking_tick(track, t)
+        if kept:
+            assert track.record.estimates[before:] and track.record.estimates[-1].est == fix
+            assert track.consecutive_no_fix == 0
+        else:
+            assert len(track.record.estimates) == before
+            assert track.consecutive_no_fix == 1
+
+    def test_an_ambiguous_fix_takes_the_candidate_the_claimed_sector_faces(self, monkeypatch):
+        # The anchor lies 15 m below the baseline and the velocity carries
+        # the prediction 15 m above it, toward the target at (200, 260).
+        # The zone holds both candidates and prefers the mirror, the
+        # nearer to its center; the beams face the prediction, on the
+        # target's side.
+        eng, track = TestNoFixCause.active_track()
+        monkeypatch.setattr(Engine, "switch_reference", None)  # a switch would fail the test
+        pos_a, pos_b = eng.nodes[track.ref_a].position, eng.nodes[track.ref_b].position
+        truth, mirror = eng.nodes[track.target].position, Position(200.0, 140.0)
+        t = eng.now + eng.cfg.sample_interval
+        track.anchor, track.anchor_time = Position(200.0, 185.0), eng.now
+        track.vel_est = (0.0, 30.0 / eng.cfg.sample_interval)
+        zone = eng._form_zone(pos_a, pos_b, track.anchor)
+        assert zone.contains(truth) and zone.contains(mirror)
+        assert distance(zone.center, mirror) < distance(zone.center, truth)
+        before = len(track.record.estimates)
+        eng.tracking_tick(track, t)
+        assert len(track.record.estimates) == before + 1
+        assert distance(track.record.estimates[-1].est, truth) < 1e-6
 
 
 class TestFriendlinessTimers:
@@ -791,7 +905,8 @@ class TestBeamClaims:
 
 class TestPerConfigTables:
     def test_ranging_sigma_matches_the_channel_model(self):
-        eng = Engine(quiet_cluster(sectors=MAX_BEAMS))
+        # A noisy channel: quiet_cluster's sigma_t of 0 makes every sigma 0.
+        eng = Engine(quiet_cluster(sectors=MAX_BEAMS, sigma_t=5.0e-9))
         assert eng.ranging_sigma == {
             m: ranging_noise_std(eng.chan, m) for m in range(1, MAX_BEAMS + 1)
         }

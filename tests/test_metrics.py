@@ -46,6 +46,10 @@ class TestEfficiency:
         track = perfect_track(n=10, err=6.0)
         assert plt_efficiency(track, tol=5.0) == 0.0
         assert plt_efficiency(track, tol=7.0) == 1.0
+        # The default tolerance is the README's 5 m.
+        assert plt_efficiency(track) == 0.0
+        assert plt_efficiency(perfect_track(n=10, err=7.0)) == 0.0
+        assert plt_efficiency(perfect_track(n=10, err=5.0)) == 1.0
 
     def test_partial_last_interval_not_counted_as_miss(self):
         # 13 s at 5 s intervals holds two instants; t = 15 lies past the run.

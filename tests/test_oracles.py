@@ -27,7 +27,7 @@ import pytest
 from sectrack.channel import ranging_noise_std
 from sectrack.cipher import derive_stream_seed
 from sectrack.config import ScenarioConfig
-from sectrack.engine import MALICIOUS_TARGET, TRACKING, Engine
+from sectrack.engine import MALICIOUS_TARGET, Engine, NodeState
 from sectrack.geometry import Position, distance
 from sectrack.protocol import FRIENDLY, detection_single
 from sectrack.scenarios import SWITCHING_SPEEDS, multi_target_config, switching_config
@@ -126,22 +126,24 @@ def binomial_upper_tail(k: int, n: int, p: float) -> float:
 
 
 def observe_fixes(monkeypatch) -> list[dict]:
-    """Wrap the engine's ranging and fix calls; return one record per fix.
+    """Wrap the engine's beam counts and fix calls; return one record per fix.
 
     Each record holds both reference positions and each range's standard
     deviation where the engine used them, the beam count m each reference
     ran at its exchange, how the ranges made the fix, and the estimate and
     truth from the tick's ``EstimateSample``.
     """
-    tick, exchange, fix = Engine.tracking_tick, Engine._range_exchange, Engine._triangulate
+    tick, fix = Engine.tracking_tick, Engine._triangulate
+    beam_count = NodeState.tracking_beam_count
     fixes: list[dict] = []
     current: dict = {}
 
-    def observed_exchange(self, ref, ref_pos, target_pos):
-        m = max(1, sum(beam.state is TRACKING for beam in ref.sectors))
-        sigma = self.chan.c * ranging_noise_std(self.chan, m) / math.sqrt(2.0)
-        current["legs"].append((m, sigma))
-        return exchange(self, ref, ref_pos, target_pos)
+    def observed_beam_count(node):
+        # The tick asks a reference's beam count once per ranging exchange.
+        m = beam_count(node)
+        chan = current["chan"]
+        current["legs"].append((m, chan.c * ranging_noise_std(chan, m) / math.sqrt(2.0)))
+        return m
 
     def observed_fix(self, track, ranges, zone, prediction, t, pos_a, pos_b):
         est, ambiguous = fix(self, track, ranges, zone, prediction, t, pos_a, pos_b)
@@ -158,7 +160,7 @@ def observe_fixes(monkeypatch) -> list[dict]:
 
     def observed_tick(self, track, t):
         current.clear()
-        current["legs"] = []
+        current.update(chan=self.chan, legs=[])
         before = len(track.record.estimates)
         tick(self, track, t)
         if len(track.record.estimates) > before:
@@ -166,7 +168,7 @@ def observe_fixes(monkeypatch) -> list[dict]:
             fixes.append(dict(current, est=sample.est, truth=sample.truth))
 
     monkeypatch.setattr(Engine, "tracking_tick", observed_tick)
-    monkeypatch.setattr(Engine, "_range_exchange", observed_exchange)
+    monkeypatch.setattr(NodeState, "tracking_beam_count", observed_beam_count)
     monkeypatch.setattr(Engine, "_triangulate", observed_fix)
     return fixes
 
