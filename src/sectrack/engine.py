@@ -100,7 +100,11 @@ TRACKING = BeamState.TRACKING
 
 @dataclass(eq=False)  # beams compare by identity
 class SectorBeam:
-    """One sector of a node's antenna; its sector is its slot in ``NodeState.sectors``."""
+    """One sector of a node's antenna; its sector is its slot in ``NodeState.sectors``.
+
+    A beam is held for its target exactly when it is not IDLE: TRACKING,
+    or SCANNING for a suspended track's survivor.
+    """
 
     beamwidth: float
     state: BeamState = IDLE
@@ -133,8 +137,6 @@ class NodeState:
         return self.mobility.position
 
     def beam_for_target(self, target: int) -> SectorBeam | None:
-        # A SCANNING beam still belongs to its target's suspended track.
-        # IDLE is the one state besides TRACKING and SCANNING.
         for beam in self.sectors:
             if beam.target_id == target and beam.state is not IDLE:
                 return beam
@@ -651,12 +653,10 @@ class Engine:
         This is the only place a beam becomes TRACKING, so sector
         exclusivity is enforced here: one node never holds one target on
         two sectors, and a violation fails loudly instead of skewing the
-        metrics.  A SCANNING beam of another target is not yet protected
-        (ROADMAP item 7d).
+        metrics.
         """
-        for other in node.sectors:
-            if other is not beam and other.state is TRACKING and other.target_id == target:
-                raise RuntimeError(f"t={self.now}: node {node.id} has one target on two sectors")
+        if node.beam_for_target(target) not in (None, beam):
+            raise RuntimeError(f"t={self.now}: node {node.id} has one target on two sectors")
         beam.state = TRACKING
         beam.target_id = target
         beam.beamwidth = beamwidth_for_zone(zone, node.position, self.cfg.sectors)
@@ -676,8 +676,7 @@ class Engine:
         # Friendly-references-only and no beam left on a failed reference,
         # enforced live so a violation fails loudly instead of skewing the
         # metrics.  Sector exclusivity (one node never holds one target on
-        # two sectors) is enforced where beams are claimed; a SCANNING beam
-        # of another target is not yet protected (ROADMAP item 7d).
+        # two sectors) is enforced where beams are claimed.
         for track in self.tracks.values():
             s = track.suspension
             if s is not None:
@@ -786,29 +785,26 @@ class Engine:
     ) -> bool:
         """Point both references' beams at the predicted bearing.
 
-        A beam already TRACKING the target in the wanted sector is held
-        and left alone: only ``_point`` makes a beam TRACKING or gives it a
-        target, so it was checked and sized when it was claimed.  A beam
-        is claimed when it starts tracking the target: a first claim, a
-        move to another sector, or a SCANNING survivor that resumes.
+        A beam the track holds in the wanted sector is left alone: only
+        ``_point`` makes a beam TRACKING or gives it a target, so it was
+        checked and sized when it was claimed, and an active track's beams
+        are all TRACKING.  A beam moves to another sector by a fresh claim.
 
-        Returns False when a needed sector is busy with another track and
+        Returns False when a needed sector is busy with another target and
         the reference had to be switched (sector contention).
         """
         for ref_id in (track.ref_a, track.ref_b):
             node = self.nodes[ref_id]
             dest = node.beam_facing(prediction)
             beam = node.beam_for_target(track.target)
-            if beam is dest and beam.state is TRACKING:
+            if beam is dest:
                 continue
-            if beam is not dest:
-                if dest.state is TRACKING and dest.target_id != track.target:
-                    self.switch_reference(track, ref_id, SwitchCause.SECTOR_CONTENTION, t)
-                    return False
-                if beam is not None:
-                    beam.release()
-                beam = dest
-            self._point(node, beam, track.target, zone)
+            if dest.state is not IDLE:  # held, and not by this track: its beam is elsewhere
+                self.switch_reference(track, ref_id, SwitchCause.SECTOR_CONTENTION, t)
+                return False
+            if beam is not None:
+                beam.release()
+            self._point(node, dest, track.target, zone)
         return True
 
     def _triangulate(

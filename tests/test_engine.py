@@ -640,7 +640,7 @@ class TestSectorExclusivity:
         log = eng.run()
         assert sum(len(r.estimates) for r in log.tracks.values()) > 0
         for node in eng.nodes.values():
-            targets = [b.target_id for b in node.sectors if b.state is BeamState.TRACKING]
+            targets = [b.target_id for b in node.sectors if b.state is not BeamState.IDLE]
             assert len(targets) == len(set(targets))
 
 
@@ -695,19 +695,21 @@ class TestFreeBeamRule:
         assert eng.nodes[1].beam_for_target(4) is scanning
         assert eng.nodes[1].beam_for_target(5) is None
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "_reselect_sectors counts a sector as busy only while it is "
-            "TRACKING another target, so a tick re-points a suspended "
-            "track's SCANNING beam at its own target.  Mending it moves "
-            "default switching trees and needs a declared re-baseline."
-        ),
-    )
     def test_a_tick_leaves_a_suspended_tracks_scanning_beam_alone(self):
         eng, track, scanning = self.takeover_state()
         eng.tracking_tick(track, self.T)
         assert (scanning.state, scanning.target_id) == (BeamState.SCANNING, 4)
+
+    def test_point_refuses_a_second_sector_for_a_scanning_target(self):
+        # Reference 1's SCANNING beam holds target 4, so no other sector
+        # of 1 may be claimed for 4.
+        eng, track, scanning = self.takeover_state()
+        node = eng.nodes[1]
+        other = node.sectors[1]
+        zone = eng._form_zone(node.position, eng.nodes[3].position, eng.nodes[4].position)
+        with pytest.raises(RuntimeError, match="node 1 has one target on two sectors"):
+            eng._point(node, other, 4, zone)
+        assert (other.state, other.target_id) == (BeamState.IDLE, None)
 
 
 class TestFailedResume:
@@ -743,6 +745,40 @@ class TestFailedResume:
         assert scanning.state is BeamState.SCANNING
         assert (busy.state, busy.target_id) == (BeamState.TRACKING, 4)
         assert eng.log.switches == []
+
+
+class TestSwitchDelay:
+    @pytest.mark.parametrize("gap", [None, 7.0])
+    def test_a_switch_logs_auth_duration_plus_the_suspension_gap(self, gap):
+        # References 1 and 2 track target 4; 2 fails, and spare reference
+        # 3 pairs with the survivor 1.
+        t = 50.0
+        cfg = quiet_cluster(
+            node_count=5,
+            placements={
+                0: Position(200.0, 200.0),
+                1: Position(160.0, 200.0),
+                2: Position(240.0, 200.0),
+                3: Position(200.0, 140.0),
+                4: Position(200.0, 260.0),
+            },
+            static_ids=frozenset(range(5)),
+        )
+        eng = Engine(cfg)
+        for ref in (1, 2, 3):
+            eng.relations[ref] = FriendRecord(status=protocol.FRIENDLY)
+        track = eng.tracks[4] = Track(
+            record=TrackRecord(4), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=t
+        )
+        eng._claim_pair(track, 1, 2, t)
+        if gap is not None:
+            track.suspension = Suspension(t - gap, 2, SwitchCause.OUT_OF_RANGE, reauth=False)
+
+        assert eng._switch(track, 2, SwitchCause.OUT_OF_RANGE, t)
+
+        (event,) = eng.log.switches
+        assert (event.old_ref, event.new_ref) == (2, 3)
+        assert event.delay_s == cfg.auth_duration + (gap or 0.0)
 
 
 class TestPairingRule:
