@@ -8,14 +8,16 @@ from pathlib import Path
 
 from sectrack.config import ScenarioConfig
 from sectrack.metrics import mean_tracking_error, plt_efficiency, write_csv
-from sectrack.scenarios import run_trajectory
+from sectrack.scenarios import run_trajectory, trajectory_config
 
-log = run_trajectory(ScenarioConfig(master_seed=1))
+cfg = ScenarioConfig(master_seed=1)
+lanes = trajectory_config(cfg).placements
+log = run_trajectory(cfg)
 
 print("target  lane-y  estimates  mean-err  efficiency")
 for target in sorted(log.tracks):
     rec = log.tracks[target]
-    lane_y = 140.0 + (target - 9) * 40.0
+    lane_y = lanes[target].y
     print(f"{target:6d} {lane_y:7.0f} {len(rec.estimates):10d} "
           f"{mean_tracking_error(rec):8.2f}  {plt_efficiency(rec):9.2f}")
 

@@ -109,9 +109,9 @@ def exchange(
     ping lands, one ``propagate`` leg each.  A lost ping draws nothing; the
     echo spans the same distance, so it is never lost.
     """
-    if distance(a, b) > cfg.range_limit:
-        return None
     toa_b = propagate(a, b, t_send, cfg, rng, sigma_t)
+    if toa_b is None:
+        return None
     tod_b = toa_b + hold
     return RangeMeasurement(t_send, toa_b, tod_b, propagate(b, a, tod_b, cfg, rng, sigma_t))
 

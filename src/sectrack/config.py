@@ -115,25 +115,6 @@ class ScenarioConfig:
         n = math.floor(self.duration / self.sample_interval + 1e-9)
         return tuple(self.sample_interval * k for k in range(1, n + 1))
 
-    def lane_starts(self) -> dict[int, Position]:
-        """Default start of each moving parallel-path target, by node id.
-
-        Lanes go to the targets that are not static, in id order, centred on
-        the area's middle row; a placed target takes a lane but starts where
-        it is placed instead.
-        """
-        static_ids = self.static_ids or frozenset()
-        first = self.node_count - self.malicious_count
-        movers = [nid for nid in range(first, self.node_count) if nid not in static_ids]
-        middle = (self.malicious_count - 1) / 2.0
-        return {
-            nid: Position(
-                self.area_side * 0.1,
-                self.area_side / 2.0 + (lane - middle) * self.lane_spacing,
-            )
-            for lane, nid in enumerate(movers)
-        }
-
 
 _FILE_KEYS = tuple(f for f in fields(ScenarioConfig) if "section" in f.metadata)
 SECTIONS: dict[str, tuple[str, ...]] = {
@@ -245,16 +226,6 @@ def validate(cfg: ScenarioConfig) -> None:
         # Stream seeds keep only the low 64 bits, so a wider seed would
         # silently run as another one.
         raise ConfigError(f"'master_seed' must be in [0, 2**64 - 1], got {cfg.master_seed}")
-    if cfg.model == "parallel_path":
-        placements = cfg.placements or {}
-        for lane, (nid, (x, y)) in enumerate(cfg.lane_starts().items()):
-            # x is a tenth of the way across, always inside.
-            if nid not in placements and not 0.0 <= y <= cfg.area_side:
-                raise ConfigError(
-                    f"parallel_path lane {lane} would start at ({x:g}, {y:g}), outside the "
-                    f"{cfg.area_side:g} m area; reduce 'lane_spacing' ({cfg.lane_spacing:g}) "
-                    f"or 'malicious_count' ({cfg.malicious_count})"
-                )
     # The channel and adversary models check their own keys.
     for section, build in (("channel", cfg.channel_config), ("sfv", cfg.adversary_model)):
         try:

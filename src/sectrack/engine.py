@@ -279,7 +279,6 @@ class Engine:
         first_target = cfg.node_count - cfg.malicious_count
         placements = cfg.placements or {}
         static_ids = cfg.static_ids or frozenset()
-        lanes = cfg.lane_starts()
         for nid in range(cfg.node_count):
             if nid == 0:
                 role = CLUSTER_HEAD
@@ -298,9 +297,7 @@ class Engine:
                 )
                 if role is MALICIOUS_TARGET and cfg.model == "parallel_path":
                     speed = float(node_rng.uniform(cfg.v_min, cfg.v_max))
-                    mob = mobility.make_parallel_path(
-                        placements.get(nid, lanes[nid]), speed, cfg.heading
-                    )
+                    mob = mobility.make_parallel_path(pos, speed, cfg.heading)
                 else:
                     mob = mobility.make_random_waypoint(
                         pos, cfg.v_min, cfg.v_max, area, node_rng
@@ -528,7 +525,6 @@ class Engine:
             self.log.switches.append(
                 SwitchEvent(t, track.target, peer_id, peer_id, SwitchCause.FRIENDLINESS_LOST, delay)
             )
-            self._reactivate(track, t)
             self.log.friend_events.append(
                 FriendEvent(t, survivor, track.target, "track_resume", delay)
             )
@@ -629,14 +625,7 @@ class Engine:
             ref_b = self._partner_for(ref_a, fix, cands[i + 1 :], target_id)
             if ref_b is None:
                 continue
-            track = Track(
-                record=record,
-                ref_a=ref_a.id,
-                ref_b=ref_b.id,
-                anchor=fix,
-                anchor_time=t,
-                resume_at=t + self.cfg.auth_duration,
-            )
+            track = Track(record=record, ref_a=ref_a.id, ref_b=ref_b.id, anchor=fix, anchor_time=t)
             self._claim_pair(track, ref_a.id, ref_b.id, t)
             self.log.tracks[target_id] = record
             self.tracks[target_id] = track
@@ -855,7 +844,11 @@ class Engine:
     # reference switching
 
     def _claim_pair(self, track: Track, ref_a: int, ref_b: int, t: float) -> None:
-        """Point each reference's ``_beam_toward`` beam; every caller checks both first."""
+        """Point each reference's ``_beam_toward`` beam; every caller checks both first.
+
+        The claim puts the track back on the air: its suspension clears, its
+        no-fix count restarts, and it ranges again after ``auth_duration``.
+        """
         prediction = track.predict(t)
         nodes = (self.nodes[ref_a], self.nodes[ref_b])
         beams = [self._beam_toward(node, track.target, prediction) for node in nodes]
@@ -865,6 +858,9 @@ class Engine:
         zone = self._form_zone(nodes[0].position, nodes[1].position, track.anchor)
         for node, beam in zip(nodes, beams):
             self._point(node, beam, track.target, zone)
+        track.suspension = None
+        track.resume_at = t + self.cfg.auth_duration
+        track.consecutive_no_fix = 0
 
     def _switch(self, track: Track, old_ref: int, cause: SwitchCause, t: float) -> bool:
         """Pair ``old_ref``'s partner with a fresh reference; False if none qualifies."""
@@ -878,14 +874,13 @@ class Engine:
         new_ref = self._partner_for(survivor, prediction, cands, track.target)
         if new_ref is None:
             return False
-        # Releasing old_ref's beam touches neither beam checked above.
-        self._release_beams(track, only=old_ref)
-        self._claim_pair(track, survivor.id, new_ref.id, t)
         delay = self.cfg.auth_duration
         if track.suspension is not None:
             delay += t - track.suspension.at
+        # Releasing old_ref's beam touches neither beam checked above.
+        self._release(old_ref, track.target)
+        self._claim_pair(track, survivor.id, new_ref.id, t)
         self.log.switches.append(SwitchEvent(t, track.target, old_ref, new_ref.id, cause, delay))
-        self._reactivate(track, t)
         return True
 
     def switch_reference(
@@ -901,7 +896,7 @@ class Engine:
         # The surviving beam scans; the switch retries after the scan, or
         # on the failed reference's re-auth verdict.
         track.suspension = Suspension(t, failed_ref, cause, reauth)
-        self._release_beams(track, only=failed_ref)
+        self._release(failed_ref, track.target)
         survivor = track.partner_of(failed_ref)
         beam = self.nodes[survivor].beam_for_target(track.target)
         if beam is not None:
@@ -922,7 +917,8 @@ class Engine:
             # Survivor lapsed too, or the outage has dragged on: release
             # everything and rebuild the pair from scratch (the old
             # references become eligible again once re-verified).
-            self._release_beams(track)
+            for rid in (track.ref_a, track.ref_b):
+                self._release(rid, track.target)
             if self._activate_track(track.target, t):
                 delay = t - s.at + self.cfg.auth_duration
                 new_ref = self.tracks[track.target].ref_a
@@ -930,18 +926,10 @@ class Engine:
                     SwitchEvent(t, track.target, s.failed_ref, new_ref, s.cause, delay)
                 )
 
-    def _reactivate(self, track: Track, t: float) -> None:
-        track.suspension = None
-        track.resume_at = t + self.cfg.auth_duration
-        track.consecutive_no_fix = 0
-
-    def _release_beams(self, track: Track, only: int | None = None) -> None:
-        for rid in (track.ref_a, track.ref_b):
-            if only is not None and rid != only:
-                continue
-            beam = self.nodes[rid].beam_for_target(track.target)
-            if beam is not None:
-                beam.release()
+    def _release(self, ref_id: int, target: int) -> None:
+        beam = self.nodes[ref_id].beam_for_target(target)
+        if beam is not None:
+            beam.release()
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsLog:

@@ -103,6 +103,9 @@ BASE = {"sim.node_count": "8", "sim.duration": "30.0", "sim.seeds": "1"}
 @example(overrides={**BASE, "channel.e_total": "0.0"})  # beams without energy
 # friendliness cuts its run to 200 s, but never below one sample_interval
 @example(overrides={**BASE, "sim.duration": "300.0", "sim.sample_interval": "250.0"})
+@example(
+    overrides={**BASE, "mobility.model": "parallel_path", "mobility.lane_spacing": "1000.0"}
+)  # a lane spacing wider than the area
 def test_accepted_config_runs_every_engine_scenario(overrides):
     try:
         cfg = parse_config(overrides=overrides)

@@ -781,6 +781,67 @@ class TestSwitchDelay:
         assert event.delay_s == cfg.auth_duration + (gap or 0.0)
 
 
+class TestClaimPutsTrackOnAir:
+    """Every pair claim (activation, switch, resume) puts the track back on the air."""
+
+    T = 50.0
+
+    @staticmethod
+    def cluster() -> Engine:
+        # References 1 and 2 flank target 4; spare reference 3 can pair with 1.
+        eng = Engine(
+            quiet_cluster(
+                node_count=5,
+                placements={
+                    0: Position(200.0, 200.0),
+                    1: Position(160.0, 200.0),
+                    2: Position(240.0, 200.0),
+                    3: Position(200.0, 140.0),
+                    4: Position(200.0, 260.0),
+                },
+                static_ids=frozenset(range(5)),
+            )
+        )
+        for ref in (1, 2, 3):
+            eng.relations[ref] = FriendRecord(status=protocol.FRIENDLY)
+        return eng
+
+    def suspended_track(self, eng: Engine, reauth: bool) -> Track:
+        """Target 4 tracked by 1 and 2 since t=0, then suspended on 2 with no fix lately."""
+        track = eng.tracks[4] = Track(
+            record=TrackRecord(4), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
+        )
+        eng._claim_pair(track, 1, 2, 0.0)
+        track.consecutive_no_fix = 1
+        eng._suspend(track, 2, SwitchCause.FRIENDLINESS_LOST, self.T - 7.0, reauth)
+        return track
+
+    def assert_on_air(self, eng: Engine, track: Track) -> None:
+        assert track.suspension is None
+        assert track.resume_at == self.T + eng.cfg.auth_duration
+        assert track.consecutive_no_fix == 0
+
+    def test_activation(self):
+        eng = self.cluster()
+        eng.relations[4] = FriendRecord(status=protocol.MALICIOUS)
+        assert eng._activate_track(4, self.T)
+        self.assert_on_air(eng, eng.tracks[4])
+
+    def test_switch(self):
+        eng = self.cluster()
+        track = self.suspended_track(eng, reauth=False)
+        assert eng._switch(track, 2, SwitchCause.FRIENDLINESS_LOST, self.T)
+        assert (track.ref_a, track.ref_b) == (1, 3)
+        self.assert_on_air(eng, track)
+
+    def test_resume(self):
+        eng = self.cluster()
+        track = self.suspended_track(eng, reauth=True)
+        eng._resume_tracks_awaiting(2, self.T)
+        assert (track.ref_a, track.ref_b) == (1, 2)
+        self.assert_on_air(eng, track)
+
+
 class TestPairingRule:
     """New tracks and switches pair references by one rule."""
 
@@ -950,3 +1011,16 @@ class TestPerConfigTables:
     def test_static_nodes_are_not_stepped(self):
         eng = Engine(quiet_cluster(static_ids=frozenset({0, 1, 2})))
         assert [node.id for node, _ in eng._movers] == [3]
+
+
+class TestBuildNodes:
+    def test_an_unplaced_parallel_path_target_starts_at_its_scene_draw(self):
+        # Scene positions are drawn for every node whatever its model, so a
+        # parallel-path target starts where the random-waypoint build puts it,
+        # however wide the lane spacing.
+        cfg = ScenarioConfig(node_count=6, malicious_count=2, master_seed=3, duration=10.0)
+        roaming = Engine(cfg)
+        marching = Engine(dataclasses.replace(cfg, model="parallel_path", lane_spacing=1000.0))
+        for nid in (4, 5):
+            assert marching.nodes[nid].mobility.kind is mobility.PARALLEL_PATH
+            assert marching.nodes[nid].position == roaming.nodes[nid].position
