@@ -11,7 +11,7 @@ what couples beam count to ranging accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,9 +32,9 @@ class ChannelConfig:
     beta: float = 0.06
 
     def __post_init__(self) -> None:
-        for name in ("c", "range_limit", "sigma_t", "e_total", "beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
         if self.c == 0:
             raise ValueError("c must be positive: it is the propagation speed")
         if self.e_total == 0:

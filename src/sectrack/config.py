@@ -91,24 +91,18 @@ class ScenarioConfig:
     static_ids: frozenset[int] | None = field(default=None, repr=False)
     inject_failures: tuple[tuple[float, int], ...] = field(default=(), repr=False)
 
+    def _build(self, model: type) -> Any:
+        """The sub-model whose fields are the keys of the same names."""
+        return model(**{f.name: getattr(self, f.name) for f in fields(model)})
+
     def channel_config(self) -> ChannelConfig:
-        return ChannelConfig(
-            c=self.c,
-            range_limit=self.range_limit,
-            sigma_t=self.sigma_t,
-            e_total=self.e_total,
-            beta=self.beta,
-        )
+        return self._build(ChannelConfig)
 
     def zone_config(self) -> ZoneConfig:
-        return ZoneConfig(
-            alpha=self.alpha,
-            rho_min=self.rho_min,
-            rho_max=self.rho_max,
-        )
+        return self._build(ZoneConfig)
 
     def adversary_model(self) -> AdversaryModel:
-        return AdversaryModel(self.p_wh, self.p_i, self.p_r)
+        return self._build(AdversaryModel)
 
     def sample_times(self) -> tuple[float, ...]:
         """Tracking instants k * sample_interval for k >= 1, none past duration."""

@@ -425,7 +425,8 @@ class Engine:
             cand_seeds = cipher.SeedPair(cand_seeds.loc_seed, cand_seeds.rtt_seed + 1)
 
         challenge_time = 2.0 * self.cfg.j_max * d / self.chan.c
-        decided_at = second.toa_a + challenge_time + self.cfg.auth_duration
+        # A noisy stamp may read before t; the verdict is never due before the screen.
+        decided_at = max(t, second.toa_a + challenge_time + self.cfg.auth_duration)
         verdict = protocol.complete_verification(
             init_seeds,
             cand_seeds,
@@ -512,15 +513,10 @@ class Engine:
             if s is None or not s.reauth or s.failed_ref != peer_id:
                 continue
             survivor = track.partner_of(peer_id)
-            prediction = track.predict(t)
-            if not self._is_friendly(survivor) or any(
-                self._beam_toward(self.nodes[rid], target, prediction) is None
-                for rid in (survivor, peer_id)
-            ):
+            if not (self._is_friendly(survivor) and self._claim_pair(track, survivor, peer_id, t)):
                 # Fall back to assignment-pass retries; the survivor keeps scanning.
                 s.reauth = False
                 continue
-            self._claim_pair(track, survivor, peer_id, t)
             delay = t - s.at
             self.log.switches.append(
                 SwitchEvent(t, track.target, peer_id, peer_id, SwitchCause.FRIENDLINESS_LOST, delay)
@@ -843,8 +839,8 @@ class Engine:
     # ------------------------------------------------------------------
     # reference switching
 
-    def _claim_pair(self, track: Track, ref_a: int, ref_b: int, t: float) -> None:
-        """Point each reference's ``_beam_toward`` beam; every caller checks both first.
+    def _claim_pair(self, track: Track, ref_a: int, ref_b: int, t: float) -> bool:
+        """Point each reference's ``_beam_toward`` beam; False, changing nothing, if one lacks it.
 
         The claim puts the track back on the air: its suspension clears, its
         no-fix count restarts, and it ranges again after ``auth_duration``.
@@ -852,6 +848,8 @@ class Engine:
         prediction = track.predict(t)
         nodes = (self.nodes[ref_a], self.nodes[ref_b])
         beams = [self._beam_toward(node, track.target, prediction) for node in nodes]
+        if None in beams:
+            return False
         track.ref_a, track.ref_b = ref_a, ref_b
         track.anchor = self.nodes[track.target].position  # fresh detection fix
         track.anchor_time = t
@@ -861,6 +859,7 @@ class Engine:
         track.suspension = None
         track.resume_at = t + self.cfg.auth_duration
         track.consecutive_no_fix = 0
+        return True
 
     def _switch(self, track: Track, old_ref: int, cause: SwitchCause, t: float) -> bool:
         """Pair ``old_ref``'s partner with a fresh reference; False if none qualifies."""

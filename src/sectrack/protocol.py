@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,10 +47,10 @@ class AdversaryModel:
     p_r: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p_wh", "p_i", "p_r"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+                raise ValueError(f"{f.name} must be in [0, 1], got {v}")
 
 
 def _challenge_payloads(j_max: int, rng: np.random.Generator) -> list[bytes]:

@@ -55,6 +55,7 @@ from sectrack.scenarios import (
     run_switching,
     run_trajectory,
 )
+from test_geometry import grid_refine_oracle
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -135,22 +136,6 @@ def test_criterion_3_detection_formulas_and_monte_carlo():
     )
 
 
-def _grid_refine(ref_a, r_a, ref_b, r_b, center, half_span, rounds=6):
-    def residual(x, y):
-        da = math.hypot(x - ref_a[0], y - ref_a[1])
-        db = math.hypot(x - ref_b[0], y - ref_b[1])
-        return (da - r_a) ** 2 + (db - r_b) ** 2
-
-    cx, cy = center
-    span = half_span
-    for _ in range(rounds):
-        xs = np.linspace(cx - span, cx + span, 41)
-        ys = np.linspace(cy - span, cy + span, 41)
-        _, cx, cy = min(((residual(x, y), x, y) for x in xs for y in ys))
-        span /= 10.0
-    return Position(cx, cy)
-
-
 def _random_instance(rnd):
     while True:
         a = Position(rnd.uniform(0, 100), rnd.uniform(0, 100))
@@ -179,7 +164,7 @@ def test_criterion_4_triangulation_exactness():
     for _ in range(100):
         a, b, t = _random_instance(rnd)
         est, _ = triangulate(a, distance(a, t), b, distance(b, t), TrackingZone(t, 10.0))
-        oracle = _grid_refine(a, distance(a, t), b, distance(b, t), t, 2.0)
+        oracle = grid_refine_oracle(a, distance(a, t), b, distance(b, t), t, 2.0)
         worst_oracle = max(worst_oracle, distance(est, oracle))
     assert worst_oracle < 1e-6
     elapsed = time.monotonic() - start

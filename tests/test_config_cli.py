@@ -145,6 +145,25 @@ class TestParseConfig:
             ("sfv.p_i", "1.01", r"^\[sfv\] p_i must be in \[0, 1\], got 1.01$"),
             ("mobility.v_min", "-1", r"^'v_min' must be nonnegative, got -1.0$"),
             ("mobility.v_max", "-1", r"^'v_max' must be nonnegative, got -1.0$"),
+            # Cross-key refusals, each against the other key's default.
+            (
+                "sim.malicious_count",
+                "60",
+                r"^'malicious_count' \(60\) must be below 'node_count' \(60\)$",
+            ),
+            ("zone.rho_min", "200", r"^'rho_min' \(200.0\) must not exceed 'rho_max' \(150.0\)$"),
+            ("mobility.v_min", "12", r"^'v_min' \(12.0\) must not exceed 'v_max' \(10.0\)$"),
+            (
+                "sim.sample_interval",
+                "600",
+                r"^'sample_interval' \(600.0\) must not exceed 'duration' \(500.0\)$",
+            ),
+            ("sim.scenario", "tracking", r"^'scenario' must be one of .*; got 'tracking'$"),
+            (
+                "mobility.model",
+                "brownian",
+                r"^'model' must be random_waypoint or parallel_path, got 'brownian'$",
+            ),
         ],
     )
     def test_each_refusal_names_its_key(self, dotted, raw, message):

@@ -51,7 +51,8 @@ OVERRIDES = {
     "sim.trials": ints(1, 100, 0),
     "channel.c": floats(1e6, 3e8, 0.0, -1.0),
     "channel.range_limit": floats(0.0, 400.0, -5.0),
-    "channel.sigma_t": floats(0.0, 1e-7, -1e-9),
+    # Timestamp noise does not lengthen a run; it reaches well past flight times.
+    "channel.sigma_t": floats(0.0, 1e-3, -1e-9),
     "channel.e_total": floats(0.0, 2.0, -1.0),
     "channel.beta": floats(0.0, 0.14, 1.0 / (MAX_BEAMS - 1), -0.01),
     "sfv.j_max": ints(1, 8, 0),
@@ -106,6 +107,8 @@ BASE = {"sim.node_count": "8", "sim.duration": "30.0", "sim.seeds": "1"}
 @example(
     overrides={**BASE, "mobility.model": "parallel_path", "mobility.lane_spacing": "1000.0"}
 )  # a lane spacing wider than the area
+# stamp noise beyond the flight time, with no auth_duration to absorb it
+@example(overrides={**BASE, "channel.sigma_t": "1e-06", "sfv.auth_duration": "0.0"})
 def test_accepted_config_runs_every_engine_scenario(overrides):
     try:
         cfg = parse_config(overrides=overrides)

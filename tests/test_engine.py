@@ -614,6 +614,26 @@ class TestFriendlinessTimers:
                 )
             assert fails == expected, f"peer {peer}"
 
+    def test_a_verdict_is_never_due_before_its_screen(self):
+        # Peer 1 sits on the cluster head and the verdict carries no
+        # auth_duration, so every stamp drawn a full sigma early puts the
+        # exchange's end before the screen started.
+        class Early:
+            def normal(self, loc: float, scale: float) -> float:
+                return loc - scale
+
+        cfg = quiet_cluster(
+            duration=60.0,
+            sigma_t=1e-6,
+            auth_duration=0.0,
+            placements={**quiet_cluster().placements, 1: Position(200.0, 200.0)},
+        )
+        eng = Engine(cfg)
+        eng.rng_channel = Early()
+        log = eng.run()
+        sweeps = [k * cfg.reauth_interval for k in range(3)]
+        assert [ev.t for ev in log.verdicts if ev.peer == 1] == sweeps
+
 
 class TestSectorExclusivity:
     def test_second_beam_on_a_tracked_target_is_refused(self):
@@ -715,11 +735,14 @@ class TestFreeBeamRule:
 class TestFailedResume:
     """A re-auth resume that cannot claim both beams leaves the survivor scanning."""
 
-    def test_the_survivor_keeps_its_scanning_beam(self):
+    T = 60.0
+
+    @staticmethod
+    def busy_state() -> tuple[Engine, Track, SectorBeam, SectorBeam]:
         # References 1 and 2 track target 3; 2 failed its re-auth, so 1's
         # beam scans.  2 passes again, but its sector facing the prediction
         # now tracks another target (4, outside this cluster).
-        t = 60.0
+        t = TestFailedResume.T
         eng = Engine(friendliness_config(ScenarioConfig(master_seed=1)))
         for ref in (1, 2):
             eng.relations[ref] = FriendRecord(status=protocol.FRIENDLY)
@@ -736,8 +759,12 @@ class TestFailedResume:
         scanning.state, scanning.target_id = BeamState.SCANNING, 3
         busy = eng.nodes[2].sectors[sector_of(bearing_deg(eng.nodes[2].position, prediction))]
         busy.state, busy.target_id = BeamState.TRACKING, 4
+        return eng, track, scanning, busy
 
-        eng._resume_tracks_awaiting(2, t)
+    def test_the_survivor_keeps_its_scanning_beam(self):
+        eng, track, scanning, busy = self.busy_state()
+
+        eng._resume_tracks_awaiting(2, self.T)
 
         assert track.suspension is not None
         assert track.suspension.reauth is False
@@ -745,6 +772,18 @@ class TestFailedResume:
         assert scanning.state is BeamState.SCANNING
         assert (busy.state, busy.target_id) == (BeamState.TRACKING, 4)
         assert eng.log.switches == []
+
+    def test_a_claim_on_a_busy_sector_changes_nothing(self):
+        eng, track, _, _ = self.busy_state()
+
+        def beams():
+            sectors = eng.nodes[1].sectors + eng.nodes[2].sectors
+            return [(b.state, b.target_id, b.beamwidth) for b in sectors]
+
+        before, suspension, held = dataclasses.replace(track), track.suspension, beams()
+        assert eng._claim_pair(track, 1, 2, self.T) is False
+        assert track == before and track.suspension is suspension
+        assert beams() == held
 
 
 class TestSwitchDelay:
