@@ -867,18 +867,15 @@ class Engine:
         if not self._is_friendly(survivor.id):
             return False  # survivor lapsed too; the pair must rebuild fully
         prediction = track.predict(t)
-        if self._beam_toward(survivor, track.target, prediction) is None:
-            return False  # the surviving reference cannot re-point a beam
         cands = self._reference_candidates(prediction, {track.target, track.ref_a, track.ref_b})
         new_ref = self._partner_for(survivor, prediction, cands, track.target)
-        if new_ref is None:
-            return False
+        # Read before the claim, which clears the suspension.
         delay = self.cfg.auth_duration
         if track.suspension is not None:
             delay += t - track.suspension.at
-        # Releasing old_ref's beam touches neither beam checked above.
+        if new_ref is None or not self._claim_pair(track, survivor.id, new_ref.id, t):
+            return False
         self._release(old_ref, track.target)
-        self._claim_pair(track, survivor.id, new_ref.id, t)
         self.log.switches.append(SwitchEvent(t, track.target, old_ref, new_ref.id, cause, delay))
         return True
 
@@ -913,11 +910,10 @@ class Engine:
             return
         survivor = track.partner_of(s.failed_ref)
         if not self._is_friendly(survivor) or t - s.at >= 2.0 * SCAN_DURATION:
-            # Survivor lapsed too, or the outage has dragged on: release
-            # everything and rebuild the pair from scratch (the old
-            # references become eligible again once re-verified).
-            for rid in (track.ref_a, track.ref_b):
-                self._release(rid, track.target)
+            # Survivor lapsed too, or the outage has dragged on: release the
+            # survivor's scanning beam (the suspension released the other) and
+            # rebuild the pair from scratch (old references rejoin once re-verified).
+            self._release(survivor, track.target)
             if self._activate_track(track.target, t):
                 delay = t - s.at + self.cfg.auth_duration
                 new_ref = self.tracks[track.target].ref_a

@@ -14,6 +14,7 @@ from sectrack.config import ScenarioConfig
 from sectrack.engine import (
     BASELINE_MARGIN,
     MOBILITY_DT,
+    SCAN_DURATION,
     BeamState,
     Engine,
     EventKind,
@@ -35,7 +36,12 @@ from sectrack.geometry import (
     sector_of,
 )
 from sectrack.metrics import SwitchCause, TrackRecord, plt_efficiency, write_csv
-from sectrack.scenarios import friendliness_config, multi_target_config, switching_config
+from sectrack.scenarios import (
+    friendliness_config,
+    multi_target_config,
+    switching_config,
+    trajectory_config,
+)
 
 
 def quiet_cluster(**overrides) -> ScenarioConfig:
@@ -732,6 +738,15 @@ class TestFreeBeamRule:
         assert (other.state, other.target_id) == (BeamState.IDLE, None)
 
 
+def every_beam(eng: Engine) -> list[tuple[int, int, BeamState, int | None, float]]:
+    """(node, sector, state, target, beamwidth) of every beam of ``eng``."""
+    return [
+        (nid, k, b.state, b.target_id, b.beamwidth)
+        for nid, node in eng.nodes.items()
+        for k, b in enumerate(node.sectors)
+    ]
+
+
 class TestFailedResume:
     """A re-auth resume that cannot claim both beams leaves the survivor scanning."""
 
@@ -775,15 +790,10 @@ class TestFailedResume:
 
     def test_a_claim_on_a_busy_sector_changes_nothing(self):
         eng, track, _, _ = self.busy_state()
-
-        def beams():
-            sectors = eng.nodes[1].sectors + eng.nodes[2].sectors
-            return [(b.state, b.target_id, b.beamwidth) for b in sectors]
-
-        before, suspension, held = dataclasses.replace(track), track.suspension, beams()
+        before, suspension, held = dataclasses.replace(track), track.suspension, every_beam(eng)
         assert eng._claim_pair(track, 1, 2, self.T) is False
         assert track == before and track.suspension is suspension
-        assert beams() == held
+        assert every_beam(eng) == held
 
 
 class TestSwitchDelay:
@@ -879,6 +889,166 @@ class TestClaimPutsTrackOnAir:
         eng._resume_tracks_awaiting(2, self.T)
         assert (track.ref_a, track.ref_b) == (1, 2)
         self.assert_on_air(eng, track)
+
+
+class TestSwitchTrustsItsClaim:
+    """A switch claims the survivor's beam through the claim's own check."""
+
+    T = TestClaimPutsTrackOnAir.T
+
+    def test_a_survivor_with_no_beam_changes_nothing(self):
+        # Target 4's track lost its beams (a rebuild found no pair), and
+        # survivor 1's sector facing 4 now tracks target 9.  Spare 3 can
+        # still pair with 1, so only the claim refuses the switch.
+        eng = TestClaimPutsTrackOnAir.cluster()
+        track = TestClaimPutsTrackOnAir().suspended_track(eng, reauth=False)
+        eng._release(1, 4)
+        prediction = track.predict(self.T)
+        facing = eng.nodes[1].beam_facing(prediction)
+        facing.state, facing.target_id = BeamState.TRACKING, 9
+        cands = eng._reference_candidates(prediction, {1, 2, 4})
+        assert eng._partner_for(eng.nodes[1], prediction, cands, 4) is eng.nodes[3]
+
+        before, suspension, beams = dataclasses.replace(track), track.suspension, every_beam(eng)
+        assert eng._switch(track, 2, SwitchCause.FRIENDLINESS_LOST, self.T) is False
+        assert track == before and track.suspension is suspension
+        assert every_beam(eng) == beams
+        assert eng.log.switches == []
+
+
+class TestRebuild:
+    """A suspended track whose survivor lapsed rebuilds its pair from scratch."""
+
+    T = TestClaimPutsTrackOnAir.T
+
+    @staticmethod
+    def lapsed_survivor() -> tuple[Engine, Track, SectorBeam]:
+        # Target 4's track was suspended on 2 one scan and 7 s ago, with 1
+        # scanning, and 1 has since lapsed, so the retry must rebuild.
+        eng = TestClaimPutsTrackOnAir.cluster()
+        track = eng.tracks[4] = Track(
+            record=TrackRecord(4), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
+        )
+        eng._claim_pair(track, 1, 2, 0.0)
+        at = TestRebuild.T - SCAN_DURATION - 7.0
+        eng._suspend(track, 2, SwitchCause.OUT_OF_RANGE, at, reauth=False)
+        scanning = eng.nodes[1].beam_for_target(4)
+        assert scanning.state is BeamState.SCANNING
+        eng.relations[1].status = None
+        return eng, track, scanning
+
+    def test_a_rebuild_releases_the_scanning_beam_and_claims_a_fresh_pair(self):
+        eng, track, scanning = self.lapsed_survivor()
+        s = track.suspension
+
+        eng._try_switch(track, self.T)
+
+        rebuilt = eng.tracks[4]
+        assert rebuilt is not track
+        assert (rebuilt.ref_a, rebuilt.ref_b) == (2, 3)
+        TestClaimPutsTrackOnAir().assert_on_air(eng, rebuilt)
+        assert (scanning.state, scanning.target_id) == (BeamState.IDLE, None)
+        for rid in (2, 3):
+            assert eng.nodes[rid].beam_for_target(4).state is BeamState.TRACKING
+        (event,) = eng.log.switches
+        assert (event.t, event.old_ref, event.new_ref, event.cause) == (self.T, 2, 2, s.cause)
+        assert event.delay_s == self.T - s.at + eng.cfg.auth_duration
+        assert beam_ledger_faults(eng, self.T) == []
+
+    def test_a_rebuild_that_finds_no_pair_leaves_no_beam_held(self):
+        eng, track, scanning = self.lapsed_survivor()
+        eng.relations[3].status = None  # 2 is the only friendly reference left
+        suspension = track.suspension
+
+        eng._try_switch(track, self.T)
+
+        assert eng.tracks[4] is track and track.suspension is suspension
+        assert (scanning.state, scanning.target_id) == (BeamState.IDLE, None)
+        assert all(node.beam_for_target(4) is None for node in eng.nodes.values())
+        assert eng.log.switches == []
+        assert beam_ledger_faults(eng, self.T) == []
+
+
+def beam_ledger_faults(eng: Engine, t: float) -> list[str]:
+    """Each way ``eng``'s beams break the beam ledger at time ``t``; reads only.
+
+    The ledger:
+    - an IDLE beam has no target;
+    - a node holds at most one beam per target;
+    - a held beam's target has a track, and the node holding it is one of
+      that track's two references;
+    - an active track's two references each hold a TRACKING beam for it;
+    - a suspended track's failed reference holds no beam for it, and its
+      survivor holds one SCANNING beam for it, or none once a retry may
+      have run (SCAN_DURATION after the suspension): a rebuild that finds
+      no pair leaves the track holding no beam.
+    """
+    faults = []
+    held: dict[tuple[int, int], list[BeamState]] = {}  # (node, target) -> held beams' states
+    for nid, node in eng.nodes.items():
+        for k, beam in enumerate(node.sectors):
+            if beam.state is not BeamState.IDLE:
+                held.setdefault((nid, beam.target_id), []).append(beam.state)
+            elif beam.target_id is not None:
+                faults.append(f"node {nid} sector {k} is IDLE with target {beam.target_id}")
+    for (nid, target), states in held.items():
+        if len(states) > 1:
+            faults.append(f"node {nid} holds target {target} on {len(states)} sectors")
+        track = eng.tracks.get(target)
+        if track is None or nid not in (track.ref_a, track.ref_b):
+            faults.append(f"node {nid} holds a beam for target {target} but is not its reference")
+    for target, track in eng.tracks.items():
+        s = track.suspension
+        if s is None:
+            for rid in (track.ref_a, track.ref_b):
+                if held.get((rid, target)) != [BeamState.TRACKING]:
+                    faults.append(f"active track {target}: reference {rid} is not TRACKING it")
+            continue
+        if (s.failed_ref, target) in held:
+            faults.append(f"suspended track {target}: failed reference {s.failed_ref} holds a beam")
+        survivor = track.partner_of(s.failed_ref)
+        states = held.get((survivor, target))
+        if states is None:
+            if t < s.at + SCAN_DURATION:
+                faults.append(f"suspended track {target}: survivor {survivor} holds no beam")
+        elif states != [BeamState.SCANNING]:
+            faults.append(f"suspended track {target}: survivor {survivor} holds {states}")
+    return faults
+
+
+def run_checking_ledger(cfg: ScenarioConfig) -> Engine:
+    """Run ``cfg``, checking the beam ledger after every dispatched event."""
+    eng = Engine(cfg)
+    pop = eng.queue.pop
+
+    def checked_pop():
+        # Each pop follows the previous event's dispatch.
+        faults = beam_ledger_faults(eng, eng.now)
+        assert faults == [], f"t={eng.now}"
+        return pop()
+
+    eng.queue.pop = checked_pop
+    eng.run()
+    assert beam_ledger_faults(eng, eng.now) == []
+    return eng
+
+
+class TestBeamLedger:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda seed: switching_config(ScenarioConfig(), v_max=5.0, master_seed=seed),
+            lambda seed: switching_config(ScenarioConfig(), v_max=20.0, master_seed=seed),
+            lambda seed: multi_target_config(ScenarioConfig(), master_seed=seed),
+            lambda seed: friendliness_config(ScenarioConfig(master_seed=seed)),
+            lambda seed: trajectory_config(ScenarioConfig(master_seed=seed)),
+        ],
+        ids=["switching-5", "switching-20", "multi-target", "friendliness", "trajectory"],
+    )
+    def test_the_ledger_holds_after_every_event(self, build, seed):
+        eng = run_checking_ledger(build(seed))
+        assert eng.log.switches, "the run switched no reference"
 
 
 class TestPairingRule:

@@ -9,7 +9,7 @@ and every engine call that receives it is pinned.  A new reader or
 receiver fails its test until it is named: either as an observation, or
 as a leak.
 
-Both readers of ``role`` are known leaks (ROADMAP item 5):
+Both readers of ``role`` are known leaks (ROADMAP item 9):
 
 - ``_verify`` derives ``honest`` from the peer's role.  Passing it into
   the protocol as the candidate's behaviour is allowed.  Carrying it in
