@@ -25,7 +25,6 @@ from sectrack import channel as ch
 from sectrack import cipher, mobility, protocol
 from sectrack.config import ScenarioConfig, validate
 from sectrack.geometry import (
-    DegenerateGeometryError,
     MeasurementError,
     NoFixError,
     OutOfZoneError,
@@ -707,7 +706,7 @@ class Engine:
             return
 
         ranges = []
-        saw_out_of_range = False
+        cause = SwitchCause.OUT_OF_ZONE  # the switch cause should this tick draw no fix
         for ref_id, pos in ((ref_a, pos_a), (ref_b, pos_b)):
             # Stamps are exchange-relative: the sub-millisecond exchange sits
             # inside one tick, and absolute-time offsets would only feed
@@ -715,19 +714,16 @@ class Engine:
             sigma = self.ranging_sigma[self.nodes[ref_id].tracking_beam_count()]
             m = ch.exchange(pos, target_pos, 0.0, PROCESSING_DELAY, self.chan, self.rng_channel, sigma)
             if m is None:  # the ping drew no echo
-                saw_out_of_range = True
-                ranges = None
+                cause = SwitchCause.OUT_OF_RANGE
                 break
             try:
                 ranges.append(range_from_timestamps(m, self.chan.c))
             except MeasurementError:
-                ranges = None  # a garbled exchange counts toward OUT_OF_ZONE
-                break
+                break  # a garbled exchange counts toward OUT_OF_ZONE
 
-        est = None
-        ambiguous = False
-        if ranges is not None:
-            est, ambiguous = self._triangulate(track, ranges, zone, prediction, t, pos_a, pos_b)
+        est, ambiguous = None, False
+        if len(ranges) == 2:
+            est, ambiguous = self._triangulate(ranges, zone, prediction, pos_a, pos_b)
         if est is not None and not (
             -AREA_SLACK <= est.x <= self.cfg.area_side + AREA_SLACK
             and -AREA_SLACK <= est.y <= self.cfg.area_side + AREA_SLACK
@@ -736,26 +732,22 @@ class Engine:
 
         if est is None:
             track.consecutive_no_fix += 1
-            track.anchor = prediction
-            track.anchor_time = t
-            if track.consecutive_no_fix >= 2:
-                cause = (
-                    SwitchCause.OUT_OF_RANGE if saw_out_of_range else SwitchCause.OUT_OF_ZONE
-                )
-                far = self._far_ref(track, prediction, pos_a, pos_b)
-                self.switch_reference(track, far, cause, t)
-            return
-
-        if ambiguous:
-            est = self._sector_disambiguate(track, ranges, est, pos_a, pos_b)
-        err = distance(est, target_pos)
-        prev = track.record.estimates[-1] if track.record.estimates else None
-        track.record.add_estimate(EstimateSample(t, est, target_pos, err))
-        if prev is not None and t > prev.t:
-            track.vel_est = ((est.x - prev.est.x) / (t - prev.t), (est.y - prev.est.y) / (t - prev.t))
-        track.anchor = est
+        else:
+            if ambiguous:
+                est = self._sector_disambiguate(track, ranges, est, pos_a, pos_b)
+            err = distance(est, target_pos)
+            prev = track.record.estimates[-1] if track.record.estimates else None
+            track.record.add_estimate(EstimateSample(t, est, target_pos, err))
+            if prev is not None:  # add_estimate refused any t <= prev.t
+                dt = t - prev.t
+                track.vel_est = ((est.x - prev.est.x) / dt, (est.y - prev.est.y) / dt)
+            track.consecutive_no_fix = 0
+        # The next zone forms around the fix, or else around the prediction.
+        track.anchor = prediction if est is None else est
         track.anchor_time = t
-        track.consecutive_no_fix = 0
+        if track.consecutive_no_fix >= 2:
+            far = self._far_ref(track, prediction, pos_a, pos_b)
+            self.switch_reference(track, far, cause, t)
 
     def _far_ref(
         self, track: Track, prediction: Position, pos_a: Position, pos_b: Position
@@ -794,30 +786,30 @@ class Engine:
 
     def _triangulate(
         self,
-        track: Track,
         ranges: list[float],
         zone: TrackingZone,
         prediction: Position,
-        t: float,
         pos_a: Position,
         pos_b: Position,
     ) -> tuple[Position | None, bool]:
+        """Fix in ``zone``, retrying once in a zone re-formed at ``prediction``.
+
+        Returns ``(None, False)`` when neither finds a fix.  Coincident
+        references never reach here: the tick's baseline check raises first.
+        """
         try:
             return triangulate(
                 pos_a, ranges[0], pos_b, ranges[1], zone, eps_gap=self.cfg.eps_gap
             )
         except OutOfZoneError:
-            # Rebuild the zone around the prediction and retry once.
-            track.anchor = prediction
-            track.anchor_time = t
             rezone = self._form_zone(pos_a, pos_b, prediction)
             try:
                 return triangulate(
                     pos_a, ranges[0], pos_b, ranges[1], rezone, eps_gap=self.cfg.eps_gap
                 )
-            except (OutOfZoneError, NoFixError, DegenerateGeometryError):
+            except (OutOfZoneError, NoFixError):
                 return None, False
-        except (NoFixError, DegenerateGeometryError):
+        except NoFixError:
             return None, False
 
     def _sector_disambiguate(
@@ -869,15 +861,25 @@ class Engine:
         prediction = track.predict(t)
         cands = self._reference_candidates(prediction, {track.target, track.ref_a, track.ref_b})
         new_ref = self._partner_for(survivor, prediction, cands, track.target)
-        # Read before the claim, which clears the suspension.
-        delay = self.cfg.auth_duration
-        if track.suspension is not None:
-            delay += t - track.suspension.at
+        s = track.suspension  # read before the claim, which clears it
         if new_ref is None or not self._claim_pair(track, survivor.id, new_ref.id, t):
             return False
         self._release(old_ref, track.target)
-        self.log.switches.append(SwitchEvent(t, track.target, old_ref, new_ref.id, cause, delay))
+        self._log_switch(t, track.target, old_ref, new_ref.id, cause, s)
         return True
+
+    def _log_switch(
+        self,
+        t: float,
+        target: int,
+        old_ref: int,
+        new_ref: int,
+        cause: SwitchCause,
+        s: Suspension | None,
+    ) -> None:
+        """Log a switch at ``t``: its delay is ``auth_duration``, plus the outage since ``s``."""
+        delay = self.cfg.auth_duration if s is None else t - s.at + self.cfg.auth_duration
+        self.log.switches.append(SwitchEvent(t, target, old_ref, new_ref, cause, delay))
 
     def switch_reference(
         self, track: Track, failed_ref: int, cause: SwitchCause, t: float, reauth: bool = False
@@ -915,11 +917,8 @@ class Engine:
             # rebuild the pair from scratch (old references rejoin once re-verified).
             self._release(survivor, track.target)
             if self._activate_track(track.target, t):
-                delay = t - s.at + self.cfg.auth_duration
                 new_ref = self.tracks[track.target].ref_a
-                self.log.switches.append(
-                    SwitchEvent(t, track.target, s.failed_ref, new_ref, s.cause, delay)
-                )
+                self._log_switch(t, track.target, s.failed_ref, new_ref, s.cause, s)
 
     def _release(self, ref_id: int, target: int) -> None:
         beam = self.nodes[ref_id].beam_for_target(target)

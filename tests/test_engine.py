@@ -425,7 +425,8 @@ class TestNoFixCause:
         return eng, track
 
     @staticmethod
-    def causes_of_two_ticks(eng: Engine, track: Track, monkeypatch) -> list[SwitchCause]:
+    def recorded_causes(monkeypatch) -> list[SwitchCause]:
+        """The causes of the switches the engine asks for from now on, as they come."""
         causes = []
         switch = Engine.switch_reference
 
@@ -434,6 +435,11 @@ class TestNoFixCause:
             switch(self, track, failed_ref, cause, t, reauth)
 
         monkeypatch.setattr(Engine, "switch_reference", recording_switch)
+        return causes
+
+    @staticmethod
+    def causes_of_two_ticks(eng: Engine, track: Track, monkeypatch) -> list[SwitchCause]:
+        causes = TestNoFixCause.recorded_causes(monkeypatch)
         for k in (1, 2):
             eng.tracking_tick(track, eng.now + k * eng.cfg.sample_interval)
         return causes
@@ -448,7 +454,20 @@ class TestNoFixCause:
             return exchange(a, b, t_send, hold, cfg, rng, sigma_t)
 
         monkeypatch.setattr(channel, "exchange", lossy)
-        assert self.causes_of_two_ticks(eng, track, monkeypatch) == [SwitchCause.OUT_OF_RANGE]
+        causes = self.recorded_causes(monkeypatch)
+        track.vel_est = (0.4, -0.2)  # so the prediction leaves the anchor
+        t = eng.now + eng.cfg.sample_interval
+        prediction, before = track.predict(t), len(track.record.estimates)
+        assert prediction != track.anchor
+
+        # The first lost tick is a no-fix: the next zone forms around its
+        # prediction, and nothing is logged or switched yet.
+        eng.tracking_tick(track, t)
+        assert (track.anchor, track.anchor_time, track.consecutive_no_fix) == (prediction, t, 1)
+        assert len(track.record.estimates) == before and causes == []
+
+        eng.tracking_tick(track, t + eng.cfg.sample_interval)
+        assert causes == [SwitchCause.OUT_OF_RANGE]
 
     def test_a_garbled_exchange_is_out_of_zone(self, monkeypatch):
         eng, track = self.active_track()
@@ -529,6 +548,30 @@ class TestTickRules:
         else:
             assert len(track.record.estimates) == before
             assert track.consecutive_no_fix == 1
+
+    @pytest.mark.parametrize(
+        "prediction, found",
+        [(Position(200.0, 300.0), True), (Position(40.0, 380.0), False)],
+    )
+    def test_an_out_of_zone_fix_retries_in_a_zone_at_the_prediction(self, prediction, found):
+        # Exact ranges to the target at (200, 260): both candidates, it and
+        # its mirror (200, 140), lie outside the zone around the stale
+        # anchor, so the fix is retried once in a zone formed around the
+        # prediction, which holds the target only when the prediction is near.
+        eng, track = TestNoFixCause.active_track()
+        pos_a, pos_b = eng.nodes[track.ref_a].position, eng.nodes[track.ref_b].position
+        truth, mirror = eng.nodes[track.target].position, Position(200.0, 140.0)
+        ranges = [distance(pos_a, truth), distance(pos_b, truth)]
+        zone = eng._form_zone(pos_a, pos_b, Position(200.0, 400.0))
+        rezone = eng._form_zone(pos_a, pos_b, prediction)
+        assert not (zone.contains(truth) or zone.contains(mirror) or rezone.contains(mirror))
+        assert rezone.contains(truth) is found
+
+        est, ambiguous = eng._triangulate(ranges, zone, prediction, pos_a, pos_b)
+        if found:
+            assert distance(est, truth) < 1e-6 and ambiguous is False
+        else:
+            assert (est, ambiguous) == (None, False)
 
     def test_an_ambiguous_fix_takes_the_candidate_the_claimed_sector_faces(self, monkeypatch):
         # The anchor lies 15 m below the baseline and the velocity carries

@@ -145,8 +145,8 @@ def observe_fixes(monkeypatch) -> list[dict]:
         current["legs"].append((m, chan.c * ranging_noise_std(chan, m) / math.sqrt(2.0)))
         return m
 
-    def observed_fix(self, track, ranges, zone, prediction, t, pos_a, pos_b):
-        est, ambiguous = fix(self, track, ranges, zone, prediction, t, pos_a, pos_b)
+    def observed_fix(self, ranges, zone, prediction, pos_a, pos_b):
+        est, ambiguous = fix(self, ranges, zone, prediction, pos_a, pos_b)
         d = distance(pos_a, pos_b)
         r_a, r_b = ranges
         if d > r_a + r_b or d < abs(r_a - r_b):
