@@ -87,8 +87,8 @@ class ScenarioConfig:
     heading: float = _key("mobility", 0.0)
 
     # Programmatic-only scenario construction hooks; never read from files.
-    placements: dict[int, Position] | None = field(default=None, repr=False)
-    static_ids: frozenset[int] | None = field(default=None, repr=False)
+    placements: dict[int, Position] = field(default_factory=dict, repr=False)
+    static_ids: frozenset[int] = field(default=frozenset(), repr=False)
     inject_failures: tuple[tuple[float, int], ...] = field(default=(), repr=False)
 
     def _build(self, model: type) -> Any:

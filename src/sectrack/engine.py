@@ -276,8 +276,6 @@ class Engine:
         cfg = self.cfg
         area = cfg.area_side
         first_target = cfg.node_count - cfg.malicious_count
-        placements = cfg.placements or {}
-        static_ids = cfg.static_ids or frozenset()
         for nid in range(cfg.node_count):
             if nid == 0:
                 role = CLUSTER_HEAD
@@ -285,8 +283,8 @@ class Engine:
             else:
                 role = MALICIOUS_TARGET if nid >= first_target else FRIENDLY_REFERENCE
                 default_pos = Position(rng.uniform(0, area), rng.uniform(0, area))
-            pos = placements.get(nid, default_pos)
-            if nid in static_ids:
+            pos = cfg.placements.get(nid, default_pos)
+            if nid in cfg.static_ids:
                 # A static node never draws, so it gets no mobility stream.
                 node_rng = None
                 mob = mobility.MobilityState(position=pos, waypoint=pos)
@@ -360,9 +358,7 @@ class Engine:
 
     def _step_movers(self, steps: int) -> None:
         for node, rng in self._movers:
-            node.mobility = mobility.step(
-                node.mobility, MOBILITY_DT, self.cfg.area_side, rng, steps
-            )
+            mobility.step(node.mobility, MOBILITY_DT, self.cfg.area_side, rng, steps)
 
     # ------------------------------------------------------------------
     # verification sweeps and verdicts
@@ -399,9 +395,8 @@ class Engine:
         # arrives.  Both span one distance, so only the first can be lost.
         first = ch.exchange(ch_pos, peer_pos, t, 0.0, self.chan, self.rng_channel)
         if first is None:
-            rec = self.relations.get(peer_id)
-            if rec and rec.status is FRIENDLY:
-                rec.status = None
+            if self._is_friendly(peer_id):
+                self.relations[peer_id].status = None
                 self._relation_event(t, peer_id, "out_of_range")
                 self._suspend_tracks_using(peer_id, t, reauth=False)
             return

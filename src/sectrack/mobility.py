@@ -2,8 +2,8 @@
 
 Two models: random waypoint with zero pause time (the default roaming
 behavior) and parallel-path lanes (targets marching along fixed headings
-with boundary reflection, for trajectory experiments).  A step updates
-the node's ``MobilityState`` in place and returns that same object; every
+with boundary reflection, for trajectory experiments).  A step moves
+the node's ``MobilityState`` in place and returns nothing; every
 random draw comes from an explicit per-node stream, in a fixed order, so
 one seed gives one trajectory.
 """
@@ -55,8 +55,9 @@ def make_random_waypoint(
     )
     if v_max == 0.0:
         state.waypoint = position
-        return state
-    return _retarget(state, area, rng)
+    else:
+        _retarget(state, area, rng)
+    return state
 
 
 def make_parallel_path(position: Position, speed: float, heading: float) -> MobilityState:
@@ -72,7 +73,7 @@ def make_parallel_path(position: Position, speed: float, heading: float) -> Mobi
     )
 
 
-def _retarget(state: MobilityState, area: float, rng: np.random.Generator) -> MobilityState:
+def _retarget(state: MobilityState, area: float, rng: np.random.Generator) -> None:
     waypoint = Position(rng.uniform(0.0, area), rng.uniform(0.0, area))
     speed = rng.uniform(state.v_min, state.v_max)
     dx = waypoint[0] - state.position[0]
@@ -83,12 +84,11 @@ def _retarget(state: MobilityState, area: float, rng: np.random.Generator) -> Mo
         state.velocity = (0.0, 0.0)
     else:
         state.velocity = (speed * dx / d, speed * dy / d)
-    return state
 
 
 def _step_waypoint(
     state: MobilityState, dt: float, area: float, rng: np.random.Generator, steps: int
-) -> MobilityState:
+) -> None:
     # The node's floats live in locals across all steps: the position is
     # written back only where _retarget reads it and at the end, and the
     # speed is recomputed only when _retarget changes the velocity.
@@ -102,7 +102,7 @@ def _step_waypoint(
                 if state.v_max == 0.0:
                     # Stationary: state.position is as it was or as the
                     # arrival before _retarget wrote it.
-                    return state
+                    return
                 _retarget(state, area, rng)
                 wx, wy = state.waypoint
                 speed = state.speed
@@ -121,7 +121,6 @@ def _step_waypoint(
             wx, wy = state.waypoint
             speed = state.speed
     state.position = Position(px, py)
-    return state
 
 
 def _fold(coord: float, lo: float, hi: float) -> tuple[float, float]:
@@ -133,13 +132,12 @@ def _fold(coord: float, lo: float, hi: float) -> tuple[float, float]:
     return lo + 2.0 * span - m, -1.0
 
 
-def _step_parallel(state: MobilityState, dt: float, area: float) -> MobilityState:
+def _step_parallel(state: MobilityState, dt: float, area: float) -> None:
     vx, vy = state.velocity
     x, sx = _fold(state.position[0] + vx * dt, 0.0, area)
     y, sy = _fold(state.position[1] + vy * dt, 0.0, area)
     state.position = Position(x, y)
     state.velocity = (sx * vx, sy * vy)
-    return state
 
 
 def step(
@@ -148,14 +146,12 @@ def step(
     area: float,
     rng: np.random.Generator,
     steps: int = 1,
-) -> MobilityState:
+) -> None:
     """Advance one node by ``steps`` steps of dt seconds, in place.
 
     The result equals ``steps`` single steps in a row, float for float and
-    draw for draw; positions never leave [0, area]^2.  Returns ``state``
-    itself, so ``node.mobility = step(node.mobility, ...)`` and a bare
-    ``step(node.mobility, ...)`` are equivalent.  Callers that need an
-    earlier state must copy it before stepping.
+    draw for draw; positions never leave [0, area]^2.  Callers that need
+    an earlier state must copy it before stepping.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -164,5 +160,5 @@ def step(
     if state.kind is PARALLEL_PATH:
         for _ in range(steps):
             _step_parallel(state, dt, area)
-        return state
-    return _step_waypoint(state, dt, area, rng, steps)
+    else:
+        _step_waypoint(state, dt, area, rng, steps)

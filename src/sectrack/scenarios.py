@@ -68,10 +68,14 @@ def _layout_scale(cfg: ScenarioConfig) -> float:
     return min(cfg.area_side / LAYOUT_SIDE, 1.0)
 
 
+# Ids below this are the static cluster head and references; targets follow.
+MULTI_TARGET_FIRST_ID = 10
+
+
 def multi_target_config(cfg: ScenarioConfig, master_seed: int) -> ScenarioConfig:
     """Four targets staged in the four sectors of one primary reference.
 
-    The cluster head and five static references are pinned; the targets
+    The cluster head and nine static references are pinned; the targets
     start at growing distances in the primary's four sector directions so
     they are detected, assigned and tracked in sector order.  Areas
     smaller than LAYOUT_SIDE shrink the layout to fit.
@@ -94,7 +98,7 @@ def multi_target_config(cfg: ScenarioConfig, master_seed: int) -> ScenarioConfig
         9: Position(330.0 * s, 70.0 * s),
     }
     for k, (b, d) in enumerate(zip(bearings, distances)):
-        placements[10 + k] = Position(
+        placements[MULTI_TARGET_FIRST_ID + k] = Position(
             primary.x + d * s * math.cos(math.radians(b)),
             primary.y + d * s * math.sin(math.radians(b)),
         )
@@ -107,17 +111,14 @@ def multi_target_config(cfg: ScenarioConfig, master_seed: int) -> ScenarioConfig
         v_min=0.3,
         v_max=1.5,
         placements=placements,
-        static_ids=frozenset(range(10)),
+        static_ids=frozenset(range(MULTI_TARGET_FIRST_ID)),
     )
-
-
-MULTI_TARGET_FIRST_ID = 10
 
 
 def run_multi_target(cfg: ScenarioConfig) -> MetricsLog:
     """Per-sector tracking efficiency over cfg.seeds derived master seeds.
 
-    Target 10+k starts in the primary reference's sector k, so rows are
+    Target MULTI_TARGET_FIRST_ID + k starts in the primary reference's sector k, so rows are
     keyed by that construction (1-based sector index).
     """
     out = MetricsLog()
@@ -169,8 +170,8 @@ def switching_config(cfg: ScenarioConfig, v_max: float, master_seed: int) -> Sce
         v_min=max(v_max / 4.0, 0.5),
         v_max=v_max,
         model="random_waypoint",
-        placements=None,
-        static_ids=None,
+        placements={},
+        static_ids=frozenset(),
     )
 
 

@@ -108,6 +108,11 @@ class TestReceivedEnergy:
         with pytest.raises(ValueError):
             ChannelConfig(beta=0.2)
 
+    def test_an_exhausted_energy_model_is_refused(self):
+        # At the default beta, 1 - beta * (m - 1) is negative from 18 beams.
+        with pytest.raises(ValueError, match="energy model exhausted"):
+            ranging_noise_std(ChannelConfig(), 20)
+
     def test_noise_grows_with_beams(self):
         cfg = ChannelConfig()
         stds = [ranging_noise_std(cfg, m) for m in range(1, 5)]

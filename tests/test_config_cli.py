@@ -76,6 +76,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="before any"):
             parse_config(p)
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text("[sim]\nnode_count 30\n")
+        with pytest.raises(ConfigError, match=r"bad.cfg:2: expected 'key = value'$"):
+            parse_config(p)
+
     def test_speed_bound_violation_names_both_keys(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[mobility]\nv_max = 2\nv_min = 5\n")

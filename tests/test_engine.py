@@ -1012,6 +1012,50 @@ class TestRebuild:
         assert beam_ledger_faults(eng, self.T) == []
 
 
+class TestLiveChecks:
+    """The run's own checks refuse a broken state instead of logging it."""
+
+    T = TestClaimPutsTrackOnAir.T
+
+    @staticmethod
+    def tracked() -> tuple[Engine, Track]:
+        # References 1 and 2 track target 4 with both beams claimed.
+        eng = TestClaimPutsTrackOnAir.cluster()
+        track = eng.tracks[4] = Track(
+            record=TrackRecord(4), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
+        )
+        assert eng._claim_pair(track, 1, 2, 0.0)
+        eng._check_invariants(TestLiveChecks.T)
+        return eng, track
+
+    def test_a_failed_reference_holding_a_beam_for_its_suspended_track_is_refused(self):
+        eng, track = self.tracked()
+        # Suspended on 2 without the suspension's release of 2's beam.
+        track.suspension = Suspension(self.T, 2, SwitchCause.OUT_OF_RANGE, reauth=False)
+        assert eng.nodes[2].beam_for_target(4) is not None
+        with pytest.raises(RuntimeError, match="failed reference 2 still holds a beam"):
+            eng._check_invariants(self.T)
+
+    @pytest.mark.parametrize("status", [None, protocol.MALICIOUS])
+    def test_an_active_track_on_a_non_friendly_reference_is_refused(self, status):
+        eng, _ = self.tracked()
+        eng.relations[2].status = status
+        with pytest.raises(RuntimeError, match="uses non-friendly reference 2"):
+            eng._check_invariants(self.T)
+
+    def test_an_event_scheduled_in_the_past_is_refused(self, monkeypatch):
+        eng = Engine(quiet_cluster(duration=20.0))
+        assign = eng.assign_targets
+
+        def assign_then_schedule_a_sweep_before_now(t):
+            assign(t)
+            eng.queue.push(t - 1.0, EventKind.SWEEP)
+
+        monkeypatch.setattr(eng, "assign_targets", assign_then_schedule_a_sweep_before_now)
+        with pytest.raises(RuntimeError, match="event queue delivered an event in the past"):
+            eng.run()
+
+
 def beam_ledger_faults(eng: Engine, t: float) -> list[str]:
     """Each way ``eng``'s beams break the beam ledger at time ``t``; reads only.
 

@@ -93,6 +93,17 @@ class TestEfficiency:
             plt_efficiency(track)
 
 
+class TestTrackRecord:
+    @pytest.mark.parametrize("t", [5.0, 4.0])
+    def test_a_non_increasing_estimate_time_is_refused(self, t):
+        track = TrackRecord(target=1)
+        p = Position(1.0, 0.0)
+        track.add_estimate(EstimateSample(5.0, p, p, 0.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            track.add_estimate(EstimateSample(t, p, p, 0.0))
+        assert [s.t for s in track.estimates] == [5.0]
+
+
 class TestMeanError:
     def test_noiseless_zero(self):
         assert mean_tracking_error(perfect_track()) < 1e-9

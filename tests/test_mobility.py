@@ -80,7 +80,7 @@ class TestInPlaceStepMatchesOracle:
         rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         state = start
         for _ in range(500):
-            state = step(state, dt, area, rng)
+            step(state, dt, area, rng)
             expected = _oracle_step(expected, dt, area, oracle_rng)
             assert state.position == expected.position
             assert state.velocity == expected.velocity
@@ -100,7 +100,7 @@ class TestInPlaceStepMatchesOracle:
         rng = np.random.default_rng(seed)
         state = start
         for _ in range(500):
-            state = step(state, 1.7, area, rng)
+            step(state, 1.7, area, rng)
             expected = _oracle_step(expected, 1.7, area, rng)
             assert state.position == expected.position
             assert state.velocity == expected.velocity
@@ -114,10 +114,14 @@ class TestInPlaceStepMatchesOracle:
         ],
         ids=["waypoint", "stationary", "parallel"],
     )
-    def test_step_returns_the_same_object(self, state):
-        rng = np.random.default_rng(4)
+    def test_step_moves_the_given_state_and_returns_none(self, state):
+        rng, twin_rng = np.random.default_rng(4), np.random.default_rng(4)
+        twin = replace(state)
         for _ in range(50):
-            assert step(state, 2.0, 100.0, rng) is state
+            assert step(state, 2.0, 100.0, rng) is None
+            twin = _oracle_step(twin, 2.0, 100.0, twin_rng)
+            assert state.position == twin.position
+            assert state.velocity == twin.velocity
 
     def test_state_has_slots_and_no_dict(self):
         state = MobilityState(position=Position(0.0, 0.0))
@@ -156,7 +160,7 @@ class TestBatchedStepMatchesOracle:
         retargets = 0
         for _ in range(max(2, 1000 // n)):
             waypoint = state.waypoint
-            assert step(state, 0.7, area, rng, n) is state
+            assert step(state, 0.7, area, rng, n) is None
             for _ in range(n):
                 expected = _oracle_step(expected, 0.7, area, oracle_rng)
             assert state.position == expected.position
@@ -172,6 +176,13 @@ class TestBatchedStepMatchesOracle:
         with pytest.raises(ValueError, match="steps"):
             step(state, 1.0, 100.0, np.random.default_rng(0), 0)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5])
+    def test_nonpositive_dt_is_refused(self, dt):
+        state = make_parallel_path(Position(5, 5), 3.0, 45.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step(state, dt, 100.0, np.random.default_rng(0))
+        assert state.position == Position(5, 5)
+
 
 class TestRandomWaypoint:
     def test_straight_leg_kinematics(self):
@@ -179,15 +190,15 @@ class TestRandomWaypoint:
         state = make_random_waypoint(Position(0, 0), 10.0, 10.0, 1000.0, rng)
         # aim at a known waypoint 100 m away
         state = replace(state, waypoint=Position(100.0, 0.0), velocity=(10.0, 0.0))
-        moved = step(state, 5.0, 1000.0, rng)
-        assert moved.position == pytest.approx((50.0, 0.0))
+        step(state, 5.0, 1000.0, rng)
+        assert state.position == pytest.approx((50.0, 0.0))
 
     def test_positions_stay_inside_area(self):
         rng = np.random.default_rng(2)
         area = 200.0
         state = make_random_waypoint(Position(100, 100), 1.0, 20.0, area, rng)
         for _ in range(10_000):
-            state = step(state, 1.0, area, rng)
+            step(state, 1.0, area, rng)
             assert 0.0 <= state.position.x <= area
             assert 0.0 <= state.position.y <= area
 
@@ -195,7 +206,7 @@ class TestRandomWaypoint:
         rng = np.random.default_rng(3)
         state = make_random_waypoint(Position(50, 50), 2.0, 8.0, 400.0, rng)
         for _ in range(2000):
-            state = step(state, 0.5, 400.0, rng)
+            step(state, 0.5, 400.0, rng)
             assert 2.0 - 1e-9 <= state.speed <= 8.0 + 1e-9
 
     def test_deterministic_trajectory(self):
@@ -203,15 +214,15 @@ class TestRandomWaypoint:
         b = make_random_waypoint(Position(10, 10), 1.0, 5.0, 300.0, np.random.default_rng(7))
         ra, rb = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(500):
-            a = step(a, 1.0, 300.0, ra)
-            b = step(b, 1.0, 300.0, rb)
+            step(a, 1.0, 300.0, ra)
+            step(b, 1.0, 300.0, rb)
             assert a.position == b.position
 
     def test_zero_speed_is_stationary(self):
         rng = np.random.default_rng(9)
         state = make_random_waypoint(Position(42, 24), 0.0, 0.0, 100.0, rng)
         for _ in range(50):
-            state = step(state, 2.0, 100.0, rng)
+            step(state, 2.0, 100.0, rng)
         assert state.position == Position(42, 24)
 
 
@@ -225,7 +236,8 @@ class TestParallelPath:
             for k in range(4)
         ]
         for _ in range(500):
-            lanes = [step(s, 1.0, area, rng) for s in lanes]
+            for s in lanes:
+                step(s, 1.0, area, rng)
             ys = [s.position.y for s in lanes]
             for i in range(4):
                 for j in range(i + 1, 4):
@@ -233,10 +245,10 @@ class TestParallelPath:
 
     def test_reflection_at_boundary(self):
         state = make_parallel_path(Position(390.0, 200.0), 10.0, 0.0)
-        moved = step(state, 2.0, 400.0, np.random.default_rng(0))
-        assert moved.position.x == pytest.approx(390.0)  # 390 -> 400 -> 390
-        assert moved.velocity[0] == pytest.approx(-10.0)
-        assert moved.position.y == 200.0
+        step(state, 2.0, 400.0, np.random.default_rng(0))
+        assert state.position.x == pytest.approx(390.0)  # 390 -> 400 -> 390
+        assert state.velocity[0] == pytest.approx(-10.0)
+        assert state.position.y == 200.0
 
     def test_kind_tag(self):
         s = make_parallel_path(Position(0, 0), 1.0, 90.0)
