@@ -5,8 +5,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from sectrack.config import SCENARIO_NAMES, ConfigError, parse_config
+from sectrack.config import ConfigError, parse_config
 from sectrack.scenarios import run
+
+# Flags that spell ``--set sim.<key>=VALUE``; the config checks their values.
+SIM_FLAGS = {"master_seed": "U64", "trials": "N", "scenario": "NAME"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -16,11 +19,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="scenario config file")
     parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    parser.add_argument("--master-seed", metavar="U64", type=int, help="master random seed")
-    parser.add_argument("--trials", metavar="N", type=int, help="Monte Carlo trial count")
-    parser.add_argument(
-        "--scenario", metavar="NAME", choices=SCENARIO_NAMES, help="scenario to run"
-    )
+    for key, metavar in SIM_FLAGS.items():
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, metavar=metavar, help=f"same as --set sim.{key}={metavar}")
     parser.add_argument(
         "--set",
         metavar="SECTION.KEY=VALUE",
@@ -34,21 +35,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides: dict[str, str] = {}
-    for item in args.overrides:
-        if "=" not in item:
-            print(f"--set expects SECTION.KEY=VALUE, got '{item}'", file=sys.stderr)
-            return 2
-        dotted, _, value = item.partition("=")
-        overrides[dotted.strip()] = value.strip()
-    if args.master_seed is not None:
-        overrides["sim.master_seed"] = str(args.master_seed)
-    if args.trials is not None:
-        overrides["sim.trials"] = str(args.trials)
-    if args.scenario is not None:
-        overrides["sim.scenario"] = args.scenario
-
     try:
+        overrides: dict[str, str] = {}
+        for item in args.overrides:
+            if "=" not in item:
+                raise ConfigError(f"--set expects SECTION.KEY=VALUE, got '{item}'")
+            dotted, _, value = item.partition("=")
+            overrides[dotted.strip()] = value.strip()
+        # The flags go in after the --set items, so each wins over its key's --set.
+        for key in SIM_FLAGS:
+            if (value := getattr(args, key)) is not None:
+                overrides[f"sim.{key}"] = value
         cfg = parse_config(args.config, overrides)
         return run(cfg.scenario, cfg, args.out)
     except ConfigError as exc:

@@ -42,13 +42,14 @@ def _key(section: str, default: Any, bound: str = "") -> Any:
     return field(default=default, metadata={"section": section, "bound": bound})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Every scenario parameter.
 
     Each file key is declared once, by ``_key(section, default, bound)``;
-    SECTIONS, the parser's types and validate's one-sided checks are read
-    from those declarations.
+    SECTIONS, the parser's types and the one-sided checks are read from
+    those declarations.  A config checks itself when it is made, so one
+    that exists is valid, and its fields cannot be reassigned afterwards.
     """
 
     area_side: float = _key("sim", 400.0, "positive")
@@ -90,6 +91,57 @@ class ScenarioConfig:
     placements: dict[int, Position] = field(default_factory=dict, repr=False)
     static_ids: frozenset[int] = field(default=frozenset(), repr=False)
     inject_failures: tuple[tuple[float, int], ...] = field(default=(), repr=False)
+
+    def __post_init__(self) -> None:
+        """Refuse an inconsistent config with a ConfigError naming its key."""
+        for f in _FILE_KEYS:
+            v, bound = getattr(self, f.name), f.metadata["bound"]
+            # nan passes every ordered comparison, and inf runs forever.
+            if type(f.default) is float and not math.isfinite(v):
+                raise ConfigError(f"'{f.name}' must be a finite number, got {v}")
+            if bound == "positive" and v <= 0 or bound == "nonnegative" and v < 0:
+                raise ConfigError(f"'{f.name}' must be {bound}, got {v}")
+        if self.malicious_count >= self.node_count:
+            raise ConfigError(
+                f"'malicious_count' ({self.malicious_count}) must be below "
+                f"'node_count' ({self.node_count})"
+            )
+        if self.sectors > MAX_BEAMS:
+            raise ConfigError(
+                f"'sectors' ({self.sectors}) must not exceed the channel model's "
+                f"{MAX_BEAMS} beams"
+            )
+        if self.v_min > self.v_max:
+            raise ConfigError(f"'v_min' ({self.v_min}) must not exceed 'v_max' ({self.v_max})")
+        if self.rho_min > self.rho_max:
+            raise ConfigError(
+                f"'rho_min' ({self.rho_min}) must not exceed 'rho_max' ({self.rho_max})"
+            )
+        if self.sample_interval > self.duration:
+            # Efficiency is the share of the tracking instants k * sample_interval
+            # inside the run, so a run needs at least one.
+            raise ConfigError(
+                f"'sample_interval' ({self.sample_interval}) must not exceed "
+                f"'duration' ({self.duration})"
+            )
+        if self.scenario not in SCENARIO_NAMES:
+            raise ConfigError(
+                f"'scenario' must be one of {', '.join(SCENARIO_NAMES)}; got '{self.scenario}'"
+            )
+        if self.model not in ("random_waypoint", "parallel_path"):
+            raise ConfigError(
+                f"'model' must be random_waypoint or parallel_path, got '{self.model}'"
+            )
+        if not 0 <= self.master_seed < 1 << 64:
+            # Stream seeds keep only the low 64 bits, so a wider seed would
+            # silently run as another one.
+            raise ConfigError(f"'master_seed' must be in [0, 2**64 - 1], got {self.master_seed}")
+        # The channel and adversary models check their own keys.
+        for section, build in (("channel", self.channel_config), ("sfv", self.adversary_model)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
 
     def _build(self, model: type) -> Any:
         """The sub-model whose fields are the keys of the same names."""
@@ -172,60 +224,7 @@ def parse_config(
             raise ConfigError(f"override: unknown key '{dotted}'")
         values[key] = _coerce(key, raw, f"override {dotted}")
 
-    cfg = ScenarioConfig(**values)
-    validate(cfg)
-    return cfg
-
-
-def validate(cfg: ScenarioConfig) -> None:
-    for f in _FILE_KEYS:
-        v, bound = getattr(cfg, f.name), f.metadata["bound"]
-        # nan passes every ordered comparison, and inf runs forever.
-        if type(f.default) is float and not math.isfinite(v):
-            raise ConfigError(f"'{f.name}' must be a finite number, got {v}")
-        if bound == "positive" and v <= 0 or bound == "nonnegative" and v < 0:
-            raise ConfigError(f"'{f.name}' must be {bound}, got {v}")
-    if cfg.malicious_count >= cfg.node_count:
-        raise ConfigError(
-            f"'malicious_count' ({cfg.malicious_count}) must be below "
-            f"'node_count' ({cfg.node_count})"
-        )
-    if cfg.sectors > MAX_BEAMS:
-        raise ConfigError(
-            f"'sectors' ({cfg.sectors}) must not exceed the channel model's "
-            f"{MAX_BEAMS} beams"
-        )
-    if cfg.v_min > cfg.v_max:
-        raise ConfigError(
-            f"'v_min' ({cfg.v_min}) must not exceed 'v_max' ({cfg.v_max})"
-        )
-    if cfg.rho_min > cfg.rho_max:
-        raise ConfigError(
-            f"'rho_min' ({cfg.rho_min}) must not exceed 'rho_max' ({cfg.rho_max})"
-        )
-    if cfg.sample_interval > cfg.duration:
-        # Efficiency is the share of the tracking instants k * sample_interval
-        # inside the run, so a run needs at least one.
-        raise ConfigError(
-            f"'sample_interval' ({cfg.sample_interval}) must not exceed "
-            f"'duration' ({cfg.duration})"
-        )
-    if cfg.scenario not in SCENARIO_NAMES:
-        raise ConfigError(
-            f"'scenario' must be one of {', '.join(SCENARIO_NAMES)}; got '{cfg.scenario}'"
-        )
-    if cfg.model not in ("random_waypoint", "parallel_path"):
-        raise ConfigError(f"'model' must be random_waypoint or parallel_path, got '{cfg.model}'")
-    if not 0 <= cfg.master_seed < 1 << 64:
-        # Stream seeds keep only the low 64 bits, so a wider seed would
-        # silently run as another one.
-        raise ConfigError(f"'master_seed' must be in [0, 2**64 - 1], got {cfg.master_seed}")
-    # The channel and adversary models check their own keys.
-    for section, build in (("channel", cfg.channel_config), ("sfv", cfg.adversary_model)):
-        try:
-            build()
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from None
+    return ScenarioConfig(**values)
 
 
 def echo_config(cfg: ScenarioConfig, path: str | Path) -> Path:

@@ -23,7 +23,7 @@ import numpy as np
 
 from sectrack import channel as ch
 from sectrack import cipher, mobility, protocol
-from sectrack.config import ScenarioConfig, validate
+from sectrack.config import ScenarioConfig
 from sectrack.geometry import (
     MeasurementError,
     NoFixError,
@@ -232,7 +232,6 @@ class Engine:
     """Owns all mutable simulation state; single-threaded event loop."""
 
     def __init__(self, cfg: ScenarioConfig):
-        validate(cfg)
         self.cfg = cfg
         self.chan = cfg.channel_config()
         self.zone_cfg = cfg.zone_config()
@@ -259,6 +258,7 @@ class Engine:
         self.ch_node = self.nodes[0]
         # Only the cluster head screens, so it alone holds relations.
         self.relations: dict[int, FriendRecord] = {}
+        self._verdict_due: set[int] = set()  # peers with their one screen in flight
 
         self.tracks: dict[int, Track] = {}
         self._last_activation = float("-inf")
@@ -334,9 +334,9 @@ class Engine:
             t, kind, payload = self.queue.pop()
             if t > end:
                 continue
-            if t < self.now - 1e-12:
+            if t < self.now:
                 raise RuntimeError("event queue delivered an event in the past")
-            self.now = max(self.now, t)
+            self.now = t
             due = int(t // MOBILITY_DT)
             if due > stepped:
                 self._step_movers(due - stepped)
@@ -375,12 +375,12 @@ class Engine:
         self.log.friend_events.append(FriendEvent(t, self.ch_node.id, peer_id, event, delay))
 
     def reauthentication_tick(self, t: float) -> None:
-        """Re-verify every known relation and screen new neighbors."""
+        """Screen every peer that is not MALICIOUS, scanning or awaiting a verdict."""
         for peer_id in sorted(self.nodes):
             if peer_id == self.ch_node.id:
                 continue
             rec = self.relations.get(peer_id)
-            if rec and (rec.status is MALICIOUS or rec.scanning):
+            if rec and (rec.status is MALICIOUS or rec.scanning) or peer_id in self._verdict_due:
                 continue
             self._verify(peer_id, t)
 
@@ -436,9 +436,11 @@ class Engine:
             VERDICT,
             {"peer": peer_id, "verdict": verdict, "honest": honest},
         )
+        self._verdict_due.add(peer_id)
 
     def _handle_verdict(self, t: float, payload: dict) -> None:
         peer_id = payload["peer"]
+        self._verdict_due.discard(peer_id)
         verdict: protocol.Verdict = payload["verdict"]
         rec = self.relations.get(peer_id)
         if rec is None:
@@ -449,7 +451,6 @@ class Engine:
             recovered = rec.consecutive_failures > 0
             rec.status = verdict
             rec.consecutive_failures = 0
-            rec.scanning = False
             self._relation_event(t, peer_id, "reauth_ok")
             if recovered:
                 self._resume_tracks_awaiting(peer_id, t)

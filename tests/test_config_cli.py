@@ -1,7 +1,8 @@
-"""Config parsing, validation, echo round-trip, and the CLI surface."""
+"""Config parsing, the config's own checks, echo round-trip, and the CLI surface."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,7 +19,6 @@ from sectrack.config import (
     ScenarioConfig,
     echo_config,
     parse_config,
-    validate,
 )
 from sectrack.engine import Engine
 
@@ -175,6 +175,17 @@ class TestParseConfig:
     def test_each_refusal_names_its_key(self, dotted, raw, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(None, {dotted: raw})
+        # Made directly, the config refuses the same value with the same message.
+        key = dotted.partition(".")[2]
+        typed = type(getattr(ScenarioConfig(), key))(raw)
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(**{key: typed})
+
+    def test_a_config_cannot_change(self):
+        cfg = ScenarioConfig()
+        for f in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
 
     @pytest.mark.parametrize(
         "dotted, key, expected",
@@ -194,7 +205,6 @@ class TestParseConfig:
     def test_every_accepted_sector_count_runs(self):
         for sectors in range(1, MAX_BEAMS + 1):
             cfg = ScenarioConfig(node_count=8, malicious_count=1, sectors=sectors, duration=30.0)
-            validate(cfg)
             Engine(cfg).run()
 
     def test_echo_roundtrip_exact(self, tmp_path):
@@ -267,9 +277,35 @@ class TestCli:
         row2 = (out / "energy.csv").read_text().splitlines()[2]
         assert row2 == "2,0.45"  # (1/2) * (1 - 0.1)
 
-    def test_unknown_scenario_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["--scenario", "bogus", "--out", str(tmp_path)])
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--scenario", "bogus"], "'scenario'"),
+            (["--master-seed", "x"], "'master_seed'"),
+            (["--trials", "1.5"], "'trials'"),
+            (["--set", "nonsense"], "'nonsense'"),
+        ],
+        ids=["scenario", "master_seed", "trials", "set"],
+    )
+    def test_unknown_scenario_rejected(self, tmp_path, capsys, argv, named):
+        # A bad flag value is refused like a bad --set: one config error line.
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error:") and named in line
+        assert not any(tmp_path.iterdir())
+
+    def test_flags_set_their_keys(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--master-seed", "7", "--trials", "123", "--scenario", "energy"]
+        assert main([*argv, "--out", str(out)]) == 0
+        cfg = parse_config(out / "effective.cfg")
+        assert (cfg.master_seed, cfg.trials, cfg.scenario) == (7, 123, "energy")
+
+    def test_a_flag_wins_over_a_set_of_its_key(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--scenario", "energy", "--set", "sim.trials=5", "--trials", "7"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert parse_config(out / "effective.cfg").trials == 7
 
     def test_bad_set_flag(self, tmp_path):
         assert main(["--set", "nonsense", "--out", str(tmp_path)]) == 2

@@ -3,8 +3,8 @@
 Overrides go in as ``--set`` strings, in range and just outside it, nan
 and inf included.  ``parse_config`` either returns a config or raises
 ``ConfigError``.  An accepted config runs the four engine scenarios to
-status 0, with every efficiency in [0, 1] and every estimate inside the
-area plus ``AREA_SLACK``.
+status 0, with every efficiency in [0, 1], every estimate inside the
+area plus ``AREA_SLACK``, and no screen's verdict inside its peer's scan.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from sectrack.config import SECTIONS, ConfigError, parse_config  # noqa: E402
 from sectrack.engine import AREA_SLACK  # noqa: E402
 
 ENGINE_SCENARIOS = ("friendliness", "trajectory", "multi-target", "switching")
+# Relation events that only a screen's verdict logs.
+VERDICT_EVENTS = ("reauth_ok", "reauth_fail", "detected_malicious")
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
@@ -38,7 +40,7 @@ def ints(lo: int, hi: int, *outside: int) -> st.SearchStrategy[str]:
 
 
 # Valid ranges are bounded so that one run stays short; the listed values
-# lie just outside what validate accepts.
+# lie just outside what a config accepts.
 OVERRIDES = {
     "sim.area_side": floats(100.0, 600.0, 0.0, -1.0),
     "sim.node_count": ints(2, 20, 0, -1),
@@ -109,6 +111,8 @@ BASE = {"sim.node_count": "8", "sim.duration": "30.0", "sim.seeds": "1"}
 )  # a lane spacing wider than the area
 # stamp noise beyond the flight time, with no auth_duration to absorb it
 @example(overrides={**BASE, "channel.sigma_t": "1e-06", "sfv.auth_duration": "0.0"})
+# a scan-end screen whose verdict falls after the next sweep
+@example(overrides={**BASE, "sim.duration": "200.0", "sfv.auth_duration": "3.0"})
 def test_accepted_config_runs_every_engine_scenario(overrides):
     try:
         cfg = parse_config(overrides=overrides)
@@ -126,6 +130,14 @@ def test_accepted_config_runs_every_engine_scenario(overrides):
                     name,
                     row,
                 )
+            scanning = set()  # peers between their scan_start and scan_end rows
+            for row in _rows(out / "friendliness.csv"):
+                if row["event"] == "scan_start":
+                    scanning.add(row["peer"])
+                elif row["event"] == "scan_end":
+                    scanning.discard(row["peer"])
+                elif row["event"] in VERDICT_EVENTS:
+                    assert row["peer"] not in scanning, (name, row)
 
 
 def test_every_file_key_is_drawn():

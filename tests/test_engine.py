@@ -596,9 +596,13 @@ class TestTickRules:
 
 
 class TestFriendlinessTimers:
-    def test_single_and_consecutive_failure_delays(self):
+    # At 3.0 the scan-end screen's verdict falls after the next sweep, which
+    # must not screen the peer a second time while that verdict is due.
+    @pytest.mark.parametrize("auth_duration", [2.0, 3.0])
+    def test_single_and_consecutive_failure_delays(self, auth_duration):
         cfg = quiet_cluster(
             duration=200.0,
+            auth_duration=auth_duration,
             inject_failures=((25.0, 2), (75.0, 2), (95.0, 2)),
         )
         log = run_scenario(cfg)
@@ -997,6 +1001,19 @@ class TestRebuild:
         assert (event.t, event.old_ref, event.new_ref, event.cause) == (self.T, 2, 2, s.cause)
         assert event.delay_s == self.T - s.at + eng.cfg.auth_duration
         assert beam_ledger_faults(eng, self.T) == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 7h: a rebuild logs the rebuilt track's ref_a as new_ref, "
+        "so re-pairing the failed reference logs 2 -> 2",
+    )
+    def test_a_rebuild_logs_the_new_partner(self):
+        # The rebuild pairs 2 and 3 after 2 failed: 3 is the replacement.
+        eng, track, _ = self.lapsed_survivor()
+        eng._try_switch(track, self.T)
+        (event,) = eng.log.switches
+        assert (event.old_ref, event.new_ref) == (2, 3)
 
     def test_a_rebuild_that_finds_no_pair_leaves_no_beam_held(self):
         eng, track, scanning = self.lapsed_survivor()
