@@ -10,8 +10,10 @@ directory alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any
 
 from sectrack.channel import MAX_BEAMS, ChannelConfig
@@ -49,7 +51,8 @@ class ScenarioConfig:
     Each file key is declared once, by ``_key(section, default, bound)``;
     SECTIONS, the parser's types and the one-sided checks are read from
     those declarations.  A config checks itself when it is made, so one
-    that exists is valid, and its fields cannot be reassigned afterwards.
+    that exists is valid.  Its fields cannot be reassigned afterwards, and
+    it keeps ``placements`` as a read-only copy, so nothing in it changes.
     """
 
     area_side: float = _key("sim", 400.0, "positive")
@@ -88,12 +91,13 @@ class ScenarioConfig:
     heading: float = _key("mobility", 0.0)
 
     # Programmatic-only scenario construction hooks; never read from files.
-    placements: dict[int, Position] = field(default_factory=dict, repr=False)
+    placements: Mapping[int, Position] = field(default_factory=dict, repr=False)
     static_ids: frozenset[int] = field(default=frozenset(), repr=False)
     inject_failures: tuple[tuple[float, int], ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         """Refuse an inconsistent config with a ConfigError naming its key."""
+        object.__setattr__(self, "placements", MappingProxyType(dict(self.placements)))
         for f in _FILE_KEYS:
             v, bound = getattr(self, f.name), f.metadata["bound"]
             # nan passes every ordered comparison, and inf runs forever.

@@ -121,7 +121,7 @@ class FriendRecord:
     status: protocol.Verdict | None = None  # None: no standing verdict
     detected_at: float = 0.0  # time of the last MALICIOUS verdict; read only while MALICIOUS
     consecutive_failures: int = 0
-    scanning: bool = False  # a scan owns this relation's recovery
+    busy: bool = False  # a screen's verdict or a failed screen's scan is due
 
 
 @dataclass
@@ -258,7 +258,6 @@ class Engine:
         self.ch_node = self.nodes[0]
         # Only the cluster head screens, so it alone holds relations.
         self.relations: dict[int, FriendRecord] = {}
-        self._verdict_due: set[int] = set()  # peers with their one screen in flight
 
         self.tracks: dict[int, Track] = {}
         self._last_activation = float("-inf")
@@ -375,12 +374,12 @@ class Engine:
         self.log.friend_events.append(FriendEvent(t, self.ch_node.id, peer_id, event, delay))
 
     def reauthentication_tick(self, t: float) -> None:
-        """Screen every peer that is not MALICIOUS, scanning or awaiting a verdict."""
+        """Screen every peer whose relation is neither MALICIOUS nor busy."""
         for peer_id in sorted(self.nodes):
             if peer_id == self.ch_node.id:
                 continue
             rec = self.relations.get(peer_id)
-            if rec and (rec.status is MALICIOUS or rec.scanning) or peer_id in self._verdict_due:
+            if rec and (rec.status is MALICIOUS or rec.busy):
                 continue
             self._verify(peer_id, t)
 
@@ -436,15 +435,13 @@ class Engine:
             VERDICT,
             {"peer": peer_id, "verdict": verdict, "honest": honest},
         )
-        self._verdict_due.add(peer_id)
+        self.relations.setdefault(peer_id, FriendRecord()).busy = True
 
     def _handle_verdict(self, t: float, payload: dict) -> None:
         peer_id = payload["peer"]
-        self._verdict_due.discard(peer_id)
         verdict: protocol.Verdict = payload["verdict"]
-        rec = self.relations.get(peer_id)
-        if rec is None:
-            rec = self.relations[peer_id] = FriendRecord()
+        rec = self.relations[peer_id]  # made by the screen
+        rec.busy = False
         self.log.verdicts.append(VerdictEvent(t, self.ch_node.id, peer_id, verdict.value))
 
         if verdict is FRIENDLY:
@@ -468,7 +465,7 @@ class Engine:
         scan = SCAN_DURATION + (
             CONSECUTIVE_SCAN_PENALTY if rec.consecutive_failures >= 2 else 0.0
         )
-        rec.scanning = True
+        rec.busy = True
         self._relation_event(t, peer_id, "reauth_fail")
         self._relation_event(t, peer_id, "scan_start", scan)
         self.queue.push(t + scan, SCAN_DONE, {"peer": peer_id})
@@ -477,8 +474,7 @@ class Engine:
     def _handle_scan_done(self, t: float, payload: dict) -> None:
         if "peer" in payload:
             peer_id = payload["peer"]
-            # The reauth_fail verdict that started this scan made the record.
-            self.relations[peer_id].scanning = False
+            self.relations[peer_id].busy = False
             self._relation_event(t, peer_id, "scan_end")
             self._verify(peer_id, t)
             return

@@ -75,7 +75,7 @@ class RangeMeasurement(NamedTuple):
     toa_a: float
 
 
-def range_from_timestamps(m: RangeMeasurement, c: float = 3.0e8) -> float:
+def range_from_timestamps(m: RangeMeasurement, c: float) -> float:
     """Distance from half the round trip net of the responder's hold time."""
     net = (m.toa_a - m.tod_a) - (m.tod_b - m.toa_b)
     if net < 0:
@@ -122,7 +122,7 @@ def form_zone(
     return TrackingZone(last_est, radius)
 
 
-def beamwidth_for_zone(zone: TrackingZone, observer: Position, sectors: int = 4) -> float:
+def beamwidth_for_zone(zone: TrackingZone, observer: Position, sectors: int) -> float:
     """Beam opening angle (degrees) that just covers the zone from observer.
 
     Wider zones or closer observers need wider beams; the width never
@@ -139,7 +139,7 @@ def beamwidth_for_zone(zone: TrackingZone, observer: Position, sectors: int = 4)
     return min(theta, full)
 
 
-def sector_of(bearing: float, sectors: int = 4) -> int:
+def sector_of(bearing: float, sectors: int) -> int:
     """Index of the half-open sector [k*360/S, (k+1)*360/S) holding bearing."""
     if sectors < 1:
         raise ValueError("sectors must be at least 1")

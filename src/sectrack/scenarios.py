@@ -254,15 +254,13 @@ RUNNERS: dict[str, Callable[[ScenarioConfig], MetricsLog]] = {
 
 
 def run(scenario_name: str, cfg: ScenarioConfig, out_dir: str | Path) -> int:
-    """Run one named scenario (or `all`); 0 iff every output landed.
+    """Run a scenario of SCENARIO_NAMES (`all` runs each); 0 iff every output landed.
 
-    Returns 2 for an unknown name and raises ConfigError when the area is
-    too small for the friendliness layout and that scenario would run,
-    both before writing anything.
+    Callers pass a config's checked `scenario`, so the name is not checked
+    again: any other name raises KeyError.  Raises ConfigError, before
+    writing anything, when the area is too small for the friendliness
+    layout and that scenario would run.
     """
-    if scenario_name != "all" and scenario_name not in RUNNERS:
-        print(f"unknown scenario '{scenario_name}'", file=sys.stderr)
-        return 2
     if scenario_name in ("all", "friendliness"):
         _check_friendliness_area(cfg)
     out = Path(out_dir)

@@ -63,15 +63,18 @@ class BeamLifecycle(RuleBasedStateMachine):
         super().__init__()
         self.eng = lifecycle_engine()
         self.t = 0.0
+        self.scanning: set[int] = set()  # references whose failed verdict's scan is due
 
     def later(self, dt: float) -> float:
         self.t += dt
         return self.t
 
     def verdict(self, ref: int, verdict: protocol.Verdict, dt: float) -> None:
-        if not self.eng.relations[ref].scanning:  # a scanning relation is not screened
+        if ref not in self.scanning:  # a scanning relation is not screened
             payload = {"peer": ref, "verdict": verdict, "honest": True}
             self.eng._handle_verdict(self.later(dt), payload)
+            if self.eng.relations[ref].busy:  # only a failed verdict leaves it busy
+                self.scanning.add(ref)
 
     @rule(target_id=st.sampled_from(TARGETS), dt=STEPS)
     def activate(self, target_id, dt):
@@ -97,7 +100,8 @@ class BeamLifecycle(RuleBasedStateMachine):
     @rule(ref=st.sampled_from(REFS), dt=STEPS)
     def end_reference_scan(self, ref, dt):
         # The scan's end re-screens ``ref``: it lapses if it moved out of range.
-        if self.eng.relations[ref].scanning:
+        if ref in self.scanning:
+            self.scanning.discard(ref)
             self.eng._handle_scan_done(self.later(dt), {"peer": ref})
 
     @rule(target_id=st.sampled_from(TARGETS), dt=STEPS)

@@ -21,6 +21,7 @@ from sectrack.config import (
     parse_config,
 )
 from sectrack.engine import Engine
+from sectrack.geometry import Position
 
 
 class TestParseConfig:
@@ -186,6 +187,17 @@ class TestParseConfig:
         for f in dataclasses.fields(cfg):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, f.name, getattr(cfg, f.name))
+
+    def test_a_config_cannot_change_in_place(self):
+        layout = {1: Position(10.0, 20.0)}
+        cfg = ScenarioConfig(placements=layout)
+        layout[2] = Position(30.0, 40.0)  # the config holds its own copy
+        with pytest.raises(TypeError):
+            cfg.placements[1] = Position(0.0, 0.0)
+        assert dict(cfg.placements) == {1: Position(10.0, 20.0)}
+        assert cfg.placements.get(2) is None
+        moved = dataclasses.replace(cfg, placements={**cfg.placements, 1: Position(0.0, 0.0)})
+        assert moved != cfg and dataclasses.replace(moved, placements=cfg.placements) == cfg
 
     @pytest.mark.parametrize(
         "dotted, key, expected",

@@ -292,8 +292,8 @@ class TestRunScenario:
 
     def test_peer_beyond_range_never_screened(self):
         # Static reference 2 sits ~255 m from the cluster head at (200, 200).
-        cfg = quiet_cluster(duration=100.0)
-        cfg.placements[2] = Position(20.0, 20.0)
+        base = quiet_cluster(duration=100.0)
+        cfg = dataclasses.replace(base, placements={**base.placements, 2: Position(20.0, 20.0)})
         eng = Engine(cfg)
         log = eng.run()
         assert {ev.peer for ev in log.verdicts} == {1, 3}
@@ -301,9 +301,9 @@ class TestRunScenario:
 
     def test_a_friendly_peer_beyond_range_lapses_without_a_draw(self):
         # A noisy channel, so an in-range screen would draw.
-        cfg = quiet_cluster(sigma_t=5.0e-9)
-        cfg.placements[2] = Position(20.0, 20.0)  # ~255 m from the cluster head
-        eng = Engine(cfg)
+        base = quiet_cluster(sigma_t=5.0e-9)
+        far = {**base.placements, 2: Position(20.0, 20.0)}  # 2 is ~255 m from the cluster head
+        eng = Engine(dataclasses.replace(base, placements=far))
         # Peers 1 and 3 stand detected, so the sweep screens peer 2 alone.
         for peer in (1, 3):
             eng.relations[peer] = FriendRecord(status=protocol.MALICIOUS)
@@ -688,6 +688,83 @@ class TestFriendlinessTimers:
         assert [ev.t for ev in log.verdicts if ev.peer == 1] == sweeps
 
 
+class TestRelationBusy:
+    """A relation is busy from screen to verdict, and from a failed verdict to its scan's end."""
+
+    FAR = Position(20.0, 20.0)  # ~255 m from the cluster head, out of range
+
+    @staticmethod
+    def land(eng: Engine, kind: EventKind) -> float:
+        """Deliver the one queued event, which must be of ``kind``; its time."""
+        t, got, payload = eng.queue.pop()
+        assert got is kind and len(eng.queue) == 0
+        handle = eng._handle_verdict if kind is EventKind.VERDICT else eng._handle_scan_done
+        handle(t, payload)
+        return t
+
+    @staticmethod
+    def peer_2_alone(**overrides) -> Engine:
+        # Peers 1 and 3 stand detected, so a sweep screens peer 2 alone.
+        eng = Engine(quiet_cluster(**overrides))
+        for peer in (1, 3):
+            eng.relations[peer] = FriendRecord(status=protocol.MALICIOUS)
+        return eng
+
+    def test_busy_from_screen_to_verdict(self):
+        eng = self.peer_2_alone()
+        eng.reauthentication_tick(25.0)
+        rec = eng.relations[2]  # the screen made the record
+        assert (rec.status, rec.busy) == (None, True)
+        eng.reauthentication_tick(26.0)  # the verdict is still due
+        assert len(eng.queue) == 1
+        self.land(eng, EventKind.VERDICT)
+        assert (rec.status, rec.busy) == (protocol.FRIENDLY, False)
+
+    def test_busy_from_failed_verdict_to_scan_end(self):
+        eng = self.peer_2_alone(inject_failures=((0.0, 2),))
+        eng.reauthentication_tick(25.0)
+        failed_at = self.land(eng, EventKind.VERDICT)
+        rec = eng.relations[2]
+        assert (rec.status, rec.consecutive_failures, rec.busy) == (None, 1, True)
+        eng.reauthentication_tick(failed_at + 1.0)  # the scan is still running
+        assert len(eng.queue) == 1
+        # The scan's end frees the relation and screens the peer again,
+        # which keeps it busy until that screen's verdict.
+        assert self.land(eng, EventKind.SCAN_DONE) == failed_at + SCAN_DURATION
+        assert rec.busy
+        self.land(eng, EventKind.VERDICT)
+        assert (rec.status, rec.consecutive_failures, rec.busy) == (protocol.FRIENDLY, 0, False)
+
+    def test_a_scan_that_ends_out_of_range_leaves_the_relation_free(self):
+        eng = self.peer_2_alone(inject_failures=((0.0, 2),))
+        eng.reauthentication_tick(25.0)
+        failed_at = self.land(eng, EventKind.VERDICT)
+        home = eng.nodes[2].position
+        eng.nodes[2].mobility.position = self.FAR
+        self.land(eng, EventKind.SCAN_DONE)
+        rec = eng.relations[2]
+        assert len(eng.queue) == 0  # the scan-end screen drew no echo
+        assert (rec.status, rec.busy) == (None, False)
+        eng.nodes[2].mobility.position = home
+        eng.reauthentication_tick(failed_at + SCAN_DURATION + 5.0)
+        assert len(eng.queue) == 1  # the next sweep screens the peer again
+        self.land(eng, EventKind.VERDICT)
+        assert (rec.status, rec.busy) == (protocol.FRIENDLY, False)
+
+    @pytest.mark.parametrize("busy", [False, True])
+    @pytest.mark.parametrize("status", [None, protocol.FRIENDLY, protocol.MALICIOUS])
+    def test_a_sweep_skips_exactly_the_busy_and_malicious_relations(self, status, busy):
+        eng = Engine(quiet_cluster())
+        # Peer 1 has no relation yet, peer 2 the case's and peer 3 a free one.
+        eng.relations[2] = FriendRecord(status=status, busy=busy)
+        eng.relations[3] = FriendRecord(status=protocol.FRIENDLY)
+        screened = []
+        eng._verify = lambda peer_id, t: screened.append(peer_id)
+        eng.reauthentication_tick(25.0)
+        skipped = busy or status is protocol.MALICIOUS
+        assert screened == ([1, 3] if skipped else [1, 2, 3])
+
+
 class TestSectorExclusivity:
     def test_second_beam_on_a_tracked_target_is_refused(self):
         eng = Engine(quiet_cluster(duration=60.0))
@@ -817,9 +894,13 @@ class TestFailedResume:
             suspension=Suspension(40.0, 2, SwitchCause.FRIENDLINESS_LOST, reauth=True),
         )
         prediction = track.predict(t)
-        scanning = eng.nodes[1].sectors[sector_of(bearing_deg(eng.nodes[1].position, prediction))]
+        scanning = eng.nodes[1].sectors[
+            sector_of(bearing_deg(eng.nodes[1].position, prediction), 4)
+        ]
         scanning.state, scanning.target_id = BeamState.SCANNING, 3
-        busy = eng.nodes[2].sectors[sector_of(bearing_deg(eng.nodes[2].position, prediction))]
+        busy = eng.nodes[2].sectors[
+            sector_of(bearing_deg(eng.nodes[2].position, prediction), 4)
+        ]
         busy.state, busy.target_id = BeamState.TRACKING, 4
         return eng, track, scanning, busy
 

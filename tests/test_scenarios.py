@@ -104,10 +104,6 @@ class TestScenarioTable:
     def test_every_scenario_but_all_has_a_runner_in_name_order(self):
         assert SCENARIO_NAMES == (*RUNNERS, "all")
 
-    def test_unknown_name_is_refused_before_any_output(self, tmp_path):
-        assert run_named("nosuch", ScenarioConfig(master_seed=1), tmp_path / "x") == 2
-        assert not (tmp_path / "x").exists()
-
 
 class TestLayoutsScaleWithTheArea:
     # Past (400 - 140) / 3 m, trajectory lanes are capped at that spacing.
