@@ -36,16 +36,14 @@ DOMAIN_RNG2 = 0x02
 
 BLOCK_BYTES = 32
 K1_BYTES = 12
-K2_BYTES = 8
-K3_BYTES = 12
 
 DEFAULT_RTT_BUCKET = 10e-6
 
-# Entries of the _rng96 memo.  A screen expands rng1(loc_seed) again when
-# the receiver rebuilds its first key, and rng2(rtt_seed) on both sides.
-# Screens repeat expansions too: the k1 chain depends only on loc_seed and
-# the node id.  In one switching call at master seed 1000, 10,267 of 20,700
-# requests repeat an earlier (seed, domain), and 64 entries catch 6,209.
+# Entries of the _rng96 memo.  A screen asks for rng1(loc_seed) once at the
+# transmitter and twice at the receiver, and rng2(rtt_seed) on both sides;
+# the k1 chain depends only on loc_seed and the node id.  In one switching
+# call at master seed 1000, 12,337 of 22,770 requests repeat an earlier
+# (seed, domain), and 64 entries catch 8,279 of them.
 RNG96_CACHE_SIZE = 64
 
 
@@ -128,7 +126,7 @@ class SeedPair:
             raise ValueError("loc_seed must fit in 64 bits")
         if not 0 <= self.rtt_seed <= _MASK64:
             raise ValueError("rtt_seed must fit in 64 bits")
-        if self.loc_seed & 0xFFFFFFFF >= 360:
+        if self.bearing_deg >= 360:
             raise ValueError("bearing field must be in [0, 360)")
 
     @classmethod
@@ -193,11 +191,7 @@ class IntegratedKey:
         return self.as_int() & _MASK128
 
     def keystream_block(self) -> bytes:
-        return (
-            self.k1.to_bytes(K1_BYTES, "big")
-            + self.k2.to_bytes(K2_BYTES, "big")
-            + self.k3.to_bytes(K3_BYTES, "big")
-        )
+        return self.as_int().to_bytes(BLOCK_BYTES, "big")
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +249,7 @@ def unpad(data: bytes) -> bytes:
 
 
 def first_plain_segment(padded_payload: bytes) -> int:
-    """Bits [0,96) of the first plaintext block, as an integer."""
+    """Bits [0,96) of any packet's first block, plaintext or cipher, as an integer."""
     if len(padded_payload) < K1_BYTES:
         raise MalformedPacketError("payload shorter than one key segment")
     return int.from_bytes(padded_payload[:K1_BYTES], "big")
@@ -288,14 +282,12 @@ def reconstruct_initial_key(
 ) -> IntegratedKey:
     """Rebuild the first chain key at the receiver from the first cipher packet.
 
-    The receiver computes k1 on its own, uses it to uncover the leading
-    plaintext segment from the ciphertext, and mixes that segment into k3
-    exactly as the transmitter did.
+    :func:`first_plain_segment` reads any packet's leading segment; the
+    receiver uncovers the plaintext one from it with its own k1, then
+    applies the transmitter's rule, :func:`derive_initial_key`.
     """
-    k1 = _rng96(seeds.loc_seed, DOMAIN_RNG1)
-    cipher_seg = int.from_bytes(cipher_first.payload[:K1_BYTES], "big")
-    plain_seg = cipher_seg ^ k1
-    return IntegratedKey(k1, node_id & _MASK64, _rng96(seeds.rtt_seed, DOMAIN_RNG2) ^ plain_seg)
+    plain_seg = first_plain_segment(cipher_first.payload) ^ rng1(seeds.loc_seed)
+    return derive_initial_key(seeds, node_id, plain_seg)
 
 
 def _xor_with_keystream(payload: bytes, key: IntegratedKey) -> bytes:

@@ -18,7 +18,7 @@ from typing import Any
 
 from sectrack.channel import MAX_BEAMS, ChannelConfig
 from sectrack.cipher import DEFAULT_RTT_BUCKET
-from sectrack.geometry import Position, ZoneConfig
+from sectrack.geometry import EPS_GAP, Position, ZoneConfig
 from sectrack.protocol import AdversaryModel
 
 
@@ -53,6 +53,8 @@ class ScenarioConfig:
     those declarations.  A config checks itself when it is made, so one
     that exists is valid.  Its fields cannot be reassigned afterwards, and
     it keeps ``placements`` as a read-only copy, so nothing in it changes.
+    A config can be hashed: ``placements`` is left out of the hash, but
+    equality still compares it.
     """
 
     area_side: float = _key("sim", 400.0, "positive")
@@ -83,7 +85,7 @@ class ScenarioConfig:
     alpha: float = _key("zone", ZoneConfig.alpha, "nonnegative")
     rho_min: float = _key("zone", ZoneConfig.rho_min, "positive")
     rho_max: float = _key("zone", ZoneConfig.rho_max, "positive")
-    eps_gap: float = _key("zone", 2.0, "positive")
+    eps_gap: float = _key("zone", EPS_GAP, "positive")
     v_min: float = _key("mobility", 1.0, "nonnegative")
     v_max: float = _key("mobility", 10.0, "nonnegative")
     model: str = _key("mobility", "random_waypoint")
@@ -91,7 +93,7 @@ class ScenarioConfig:
     heading: float = _key("mobility", 0.0)
 
     # Programmatic-only scenario construction hooks; never read from files.
-    placements: Mapping[int, Position] = field(default_factory=dict, repr=False)
+    placements: Mapping[int, Position] = field(default_factory=dict, repr=False, hash=False)
     static_ids: frozenset[int] = field(default=frozenset(), repr=False)
     inject_failures: tuple[tuple[float, int], ...] = field(default=(), repr=False)
 

@@ -189,6 +189,10 @@ def _least_squares_on_axis(
     return Position(ref_a[0] + best * ex[0], ref_a[1] + best * ex[1])
 
 
+# Default gap (m) by which range circles may miss; zone.eps_gap's too.
+EPS_GAP = 2.0
+
+
 def triangulate(
     ref_a: Position,
     r_a: float,
@@ -196,7 +200,7 @@ def triangulate(
     r_b: float,
     zone: TrackingZone,
     *,
-    eps_gap: float = 2.0,
+    eps_gap: float = EPS_GAP,
 ) -> tuple[Position, bool]:
     """Two-circle fix disambiguated by the tracking zone.
 

@@ -37,6 +37,12 @@ VECTOR_FILE = Path(__file__).parent / "vectors" / "cipher_vectors.txt"
 _M64 = (1 << 64) - 1
 
 
+def _layout_block(key: IntegratedKey) -> bytes:
+    """The module docstring's keystream layout, spelled out segment by segment:
+    bytes [0,12) carry k1, [12,20) k2 and [20,32) k3, each big-endian."""
+    return key.k1.to_bytes(12, "big") + key.k2.to_bytes(8, "big") + key.k3.to_bytes(12, "big")
+
+
 def _oracle_splitmix_next(state: int) -> tuple[int, int]:
     # Independent re-implementation from the published SplitMix64 constants.
     state = (state + 0x9E3779B97F4A7C15) & _M64
@@ -232,6 +238,20 @@ class TestPacketCipher:
         ct = encrypt_packet(EnsemblePacket(bytes(32)), key)
         assert ct.payload == key.keystream_block()
 
+    @pytest.mark.parametrize(
+        "k1, k2, k3",
+        [
+            (1, 1, 1),  # leading zero bytes in every segment
+            (0x00FF << 80, 0x00AB << 48, 0x0001 << 80),
+            ((1 << 96) - 1, _M64, (1 << 96) - 1),  # all-ones segments
+            ((1 << 96) - 1, 0, (1 << 96) - 1),
+            (0, _M64, 0),
+        ],
+    )
+    def test_keystream_block_follows_the_documented_byte_layout(self, k1, k2, k3):
+        key = IntegratedKey(k1=k1, k2=k2, k3=k3)
+        assert key.keystream_block() == _layout_block(key)
+
     def test_involution(self):
         key = derive_initial_key(SeedPair(0, 0), 1, 0)
         pkt = EnsemblePacket(bytes(range(64)))
@@ -243,7 +263,7 @@ class TestPacketCipher:
         key = IntegratedKey(
             k1=rnd.getrandbits(96), k2=rnd.getrandbits(64), k3=rnd.getrandbits(96)
         )
-        expected = bytes(a ^ b for a, b in zip(plain, key.keystream_block() * 2))
+        expected = bytes(a ^ b for a, b in zip(plain, _layout_block(key) * 2))
         assert encrypt_packet(EnsemblePacket(plain), key).payload == expected
 
     def test_bad_length_rejected(self):
@@ -279,14 +299,14 @@ class TestWholeIntegerHotPaths:
             for _ in range(100):
                 key = self._random_key(rnd)
                 plain = rnd.randbytes(32 * blocks)
-                expected = bytes(a ^ b for a, b in zip(plain, key.keystream_block() * blocks))
+                expected = bytes(a ^ b for a, b in zip(plain, _layout_block(key) * blocks))
                 assert cipher._xor_with_keystream(plain, key) == expected
                 assert encrypt_packet(EnsemblePacket(plain), key).payload == expected
 
     def test_xor_keeps_leading_zero_bytes(self):
         key = IntegratedKey(k1=0, k2=0, k3=1)
         out = cipher._xor_with_keystream(bytes(64), key)
-        assert out == key.keystream_block() * 2
+        assert out == _layout_block(key) * 2
         assert len(out) == 64 and out[0] == 0
 
     def test_fold_matches_wordwise_reference(self):

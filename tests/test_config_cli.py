@@ -199,6 +199,15 @@ class TestParseConfig:
         moved = dataclasses.replace(cfg, placements={**cfg.placements, 1: Position(0.0, 0.0)})
         assert moved != cfg and dataclasses.replace(moved, placements=cfg.placements) == cfg
 
+    def test_a_config_can_be_hashed(self):
+        assert hash(ScenarioConfig()) == hash(parse_config())
+        other = parse_config(None, {"sim.master_seed": "2"})
+        assert {ScenarioConfig(), parse_config(), other} == {ScenarioConfig(), other}
+        # The hash leaves placements out; equality still compares them.
+        a = ScenarioConfig(placements={1: Position(10.0, 20.0)})
+        b = ScenarioConfig(placements={1: Position(10.0, 21.0)})
+        assert a != b and hash(a) == hash(b) and len({a, b}) == 2
+
     @pytest.mark.parametrize(
         "dotted, key, expected",
         [("sim.node_count", "node_count", "an integer"), ("sim.duration", "duration", "a number")],
