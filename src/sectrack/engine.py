@@ -64,7 +64,7 @@ AREA_SLACK = 10.0
 # The members that the event loop, the sweeps and the tracking ticks
 # compare against are bound once to module names, one line each, below
 # their enums.  On CPython 3.10 and 3.11 ``EnumType.__getattr__`` makes a
-# class lookup such as ``BeamState.TRACKING`` about ten times the cost of
+# class lookup such as ``EventKind.TRACK`` about ten times the cost of
 # a global read.  Each name is the member object itself, so every ``is``
 # test answers as before.
 
@@ -86,31 +86,18 @@ FRIENDLY = protocol.FRIENDLY
 MALICIOUS = protocol.MALICIOUS
 
 
-class BeamState(enum.Enum):
-    IDLE = "idle"
-    SCANNING = "scanning"
-    TRACKING = "tracking"
-
-
-IDLE = BeamState.IDLE
-SCANNING = BeamState.SCANNING
-TRACKING = BeamState.TRACKING
-
-
 @dataclass(eq=False)  # beams compare by identity
 class SectorBeam:
     """One sector of a node's antenna; its sector is its slot in ``NodeState.sectors``.
 
-    A beam is held for its target exactly when it is not IDLE: TRACKING,
-    or SCANNING for a suspended track's survivor.
+    A beam is held for its target exactly when it has one.  It tracks or
+    scans as its target's track is active or suspended.
     """
 
     beamwidth: float
-    state: BeamState = IDLE
     target_id: int | None = None
 
     def release(self) -> None:
-        self.state = IDLE
         self.target_id = None
 
 
@@ -137,20 +124,13 @@ class NodeState:
 
     def beam_for_target(self, target: int) -> SectorBeam | None:
         for beam in self.sectors:
-            if beam.target_id == target and beam.state is not IDLE:
+            if beam.target_id == target:
                 return beam
         return None
 
     def beam_facing(self, toward: Position) -> SectorBeam:
         """The beam whose sector holds the bearing from this node to ``toward``."""
         return self.sectors[sector_of(bearing_deg(self.position, toward), len(self.sectors))]
-
-    def tracking_beam_count(self) -> int:
-        n = 0
-        for b in self.sectors:
-            if b.state is TRACKING:
-                n += 1
-        return max(1, n)
 
 
 @dataclass
@@ -565,12 +545,12 @@ class Engine:
         return [self.nodes[nid] for _, nid in cands]
 
     def _beam_toward(self, node: NodeState, target: int, toward: Position) -> SectorBeam | None:
-        """The beam ``node`` holds for ``target``, else its IDLE beam facing ``toward``."""
+        """The beam ``node`` holds for ``target``, else its free beam facing ``toward``."""
         beam = node.beam_for_target(target)
         if beam is not None:
             return beam
         beam = node.beam_facing(toward)
-        return beam if beam.state is IDLE else None
+        return beam if beam.target_id is None else None
 
     def _partner_for(
         self, node: NodeState, around: Position, cands: list[NodeState], target: int
@@ -579,7 +559,7 @@ class Engine:
 
         New tracks and switches both pair by this rule: the pair is not
         another track's, ``around`` sits at least BASELINE_MARGIN off the
-        pair's baseline, and the candidate has an idle beam facing ``around``
+        pair's baseline, and the candidate has a free beam facing ``around``
         (``_beam_toward``; no candidate holds a beam for the target).
         """
         in_use = {
@@ -626,14 +606,13 @@ class Engine:
     def _point(self, node: NodeState, beam: SectorBeam, target: int, zone: TrackingZone) -> None:
         """Claim ``node``'s ``beam`` for ``target``, sized from ``node`` to cover ``zone``.
 
-        This is the only place a beam becomes TRACKING, so sector
+        This is the only place a beam gets a target, so sector
         exclusivity is enforced here: one node never holds one target on
         two sectors, and a violation fails loudly instead of skewing the
         metrics.
         """
         if node.beam_for_target(target) not in (None, beam):
             raise RuntimeError(f"t={self.now}: node {node.id} has one target on two sectors")
-        beam.state = TRACKING
         beam.target_id = target
         beam.beamwidth = beamwidth_for_zone(zone, node.position, self.cfg.sectors)
 
@@ -703,7 +682,7 @@ class Engine:
             # Stamps are exchange-relative: the sub-millisecond exchange sits
             # inside one tick, and absolute-time offsets would only feed
             # floating-point cancellation into the range.
-            sigma = self.ranging_sigma[self.nodes[ref_id].tracking_beam_count()]
+            sigma = self.ranging_sigma[self._tracking_beam_count(self.nodes[ref_id])]
             m = ch.exchange(pos, target_pos, 0.0, PROCESSING_DELAY, self.chan, self.rng_channel, sigma)
             if m is None:  # the ping drew no echo
                 cause = SwitchCause.OUT_OF_RANGE
@@ -741,6 +720,14 @@ class Engine:
             far = self._far_ref(track, prediction, pos_a, pos_b)
             self.switch_reference(track, far, cause, t)
 
+    def _tracking_beam_count(self, node: NodeState) -> int:
+        """How many beams split ``node``'s energy: those whose track is active, at least 1."""
+        n = 0
+        for b in node.sectors:
+            if b.target_id is not None and self.tracks[b.target_id].suspension is None:
+                n += 1
+        return max(1, n)
+
     def _far_ref(
         self, track: Track, prediction: Position, pos_a: Position, pos_b: Position
     ) -> int:
@@ -755,9 +742,8 @@ class Engine:
         """Point both references' beams at the predicted bearing.
 
         A beam the track holds in the wanted sector is left alone: only
-        ``_point`` makes a beam TRACKING or gives it a target, so it was
-        checked and sized when it was claimed, and an active track's beams
-        are all TRACKING.  A beam moves to another sector by a fresh claim.
+        ``_point`` gives a beam a target, so it was checked and sized when
+        it was claimed.  A beam moves to another sector by a fresh claim.
 
         Returns False when a needed sector is busy with another target and
         the reference had to be switched (sector contention).
@@ -768,7 +754,7 @@ class Engine:
             beam = node.beam_for_target(track.target)
             if beam is dest:
                 continue
-            if dest.state is not IDLE:  # held, and not by this track: its beam is elsewhere
+            if dest.target_id is not None:  # held, and not by this track: its beam is elsewhere
                 self.switch_reference(track, ref_id, SwitchCause.SECTOR_CONTENTION, t)
                 return False
             if beam is not None:
@@ -887,12 +873,8 @@ class Engine:
         # on the failed reference's re-auth verdict.
         track.suspension = Suspension(t, failed_ref, cause, reauth)
         self._release(failed_ref, track.target)
-        survivor = track.partner_of(failed_ref)
-        beam = self.nodes[survivor].beam_for_target(track.target)
-        if beam is not None:
-            beam.state = SCANNING
         self.log.friend_events.append(
-            FriendEvent(t, survivor, track.target, "track_suspend", 0.0)
+            FriendEvent(t, track.partner_of(failed_ref), track.target, "track_suspend", 0.0)
         )
         if not reauth:
             self.queue.push(t + SCAN_DURATION, SCAN_DONE, {"target": track.target})

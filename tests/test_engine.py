@@ -15,7 +15,6 @@ from sectrack.engine import (
     BASELINE_MARGIN,
     MOBILITY_DT,
     SCAN_DURATION,
-    BeamState,
     Engine,
     EventKind,
     EventQueue,
@@ -70,7 +69,6 @@ BOUND_MEMBERS = [
     for module, enum_cls in (
         (engine, Role),
         (engine, protocol.Verdict),
-        (engine, BeamState),
         (engine, EventKind),
         (protocol, protocol.Verdict),
         (mobility, mobility.MobilityKind),
@@ -92,34 +90,16 @@ def test_module_binding_is_the_enum_member(module, name, enum_cls):
 
 class TestBeamForTarget:
     @staticmethod
-    def node(*states_and_targets) -> NodeState:
-        sectors = [
-            SectorBeam(beamwidth=90.0, state=state, target_id=target)
-            for state, target in states_and_targets
-        ]
+    def node(*targets) -> NodeState:
+        sectors = [SectorBeam(beamwidth=90.0, target_id=target) for target in targets]
         mob = mobility.make_parallel_path(Position(0.0, 0.0), 0.0, 0.0)
         return NodeState(id=1, role=Role.FRIENDLY_REFERENCE, mobility=mob, sectors=sectors)
 
-    def test_returns_the_tracking_or_scanning_beam_holding_the_target(self):
-        node = self.node(
-            (BeamState.IDLE, None),
-            (BeamState.TRACKING, 7),
-            (BeamState.SCANNING, 8),
-            (BeamState.IDLE, None),
-        )
+    def test_returns_the_beam_holding_the_target(self):
+        node = self.node(None, 7, 8, None)
         assert node.beam_for_target(7) is node.sectors[1]
         assert node.beam_for_target(8) is node.sectors[2]
         assert node.beam_for_target(9) is None
-
-    def test_never_returns_an_idle_beam_with_a_stale_target(self):
-        node = self.node(
-            (BeamState.IDLE, 7),  # target_id left set by hand
-            (BeamState.IDLE, 8),
-            (BeamState.TRACKING, 7),
-            (BeamState.IDLE, None),
-        )
-        assert node.beam_for_target(7) is node.sectors[2]
-        assert node.beam_for_target(8) is None
 
 
 class TestEventQueue:
@@ -628,7 +608,7 @@ class TestFriendlinessTimers:
         assert (s.failed_ref, s.cause, s.reauth) == (2, SwitchCause.FRIENDLINESS_LOST, True)
         assert 25.0 <= s.at < 40.0 - 1.0
         assert eng.nodes[2].beam_for_target(3) is None
-        assert eng.nodes[1].beam_for_target(3).state is BeamState.SCANNING
+        assert eng.nodes[1].beam_for_target(3) is not None  # the survivor's beam scans
 
     def test_scan_window_blocks_early_reinstatement(self):
         cfg = quiet_cluster(duration=120.0, inject_failures=((25.0, 2),))
@@ -770,12 +750,12 @@ class TestSectorExclusivity:
         eng = Engine(quiet_cluster(duration=60.0))
         eng.run()
         held = eng.nodes[1].beam_for_target(3)
-        assert held is not None and held.state is BeamState.TRACKING
+        assert held is not None and eng.tracks[3].suspension is None
         other = next(b for b in eng.nodes[1].sectors if b is not held)
         zone = eng._form_zone(eng.nodes[1].position, eng.nodes[2].position, eng.tracks[3].anchor)
         with pytest.raises(RuntimeError, match="node 1 has one target on two sectors"):
             eng._point(eng.nodes[1], other, 3, zone)
-        assert other.state is BeamState.IDLE  # refused before anything was written
+        assert other.target_id is None  # refused before anything was written
 
     def test_repointing_the_held_beam_is_allowed(self):
         eng = Engine(quiet_cluster(duration=60.0))
@@ -783,14 +763,14 @@ class TestSectorExclusivity:
         held = eng.nodes[1].beam_for_target(3)
         zone = eng._form_zone(eng.nodes[1].position, eng.nodes[2].position, eng.tracks[3].anchor)
         eng._point(eng.nodes[1], held, 3, zone)
-        assert held.state is BeamState.TRACKING and held.target_id == 3
+        assert held.target_id == 3
 
     def test_multi_target_run_claims_no_duplicate(self):
         eng = Engine(multi_target_config(ScenarioConfig(master_seed=1), master_seed=41))
         log = eng.run()
         assert sum(len(r.estimates) for r in log.tracks.values()) > 0
         for node in eng.nodes.values():
-            targets = [b.target_id for b in node.sectors if b.state is not BeamState.IDLE]
+            targets = [b.target_id for b in node.sectors if b.target_id is not None]
             assert len(targets) == len(set(targets))
 
 
@@ -802,7 +782,7 @@ class TestFreeBeamRule:
     @staticmethod
     def takeover_state() -> tuple[Engine, Track, SectorBeam]:
         # Reference 1 survives target 4's suspended track, its sector 0
-        # beam SCANNING for 4.  Target 5's track pairs 1 with 2, and 5
+        # beam scanning for 4.  Target 5's track pairs 1 with 2, and 5
         # lies in 1's sector 0 too.
         cfg = quiet_cluster(
             node_count=6,
@@ -834,7 +814,6 @@ class TestFreeBeamRule:
             anchor_time=TestFreeBeamRule.T,
         )
         scanning = eng.nodes[1].sectors[0]
-        scanning.state = BeamState.SCANNING
         scanning.target_id = 4
         return eng, track, scanning
 
@@ -848,10 +827,10 @@ class TestFreeBeamRule:
     def test_a_tick_leaves_a_suspended_tracks_scanning_beam_alone(self):
         eng, track, scanning = self.takeover_state()
         eng.tracking_tick(track, self.T)
-        assert (scanning.state, scanning.target_id) == (BeamState.SCANNING, 4)
+        assert scanning.target_id == 4 and eng.tracks[4].suspension is not None
 
     def test_point_refuses_a_second_sector_for_a_scanning_target(self):
-        # Reference 1's SCANNING beam holds target 4, so no other sector
+        # Reference 1's scanning beam holds target 4, so no other sector
         # of 1 may be claimed for 4.
         eng, track, scanning = self.takeover_state()
         node = eng.nodes[1]
@@ -859,13 +838,13 @@ class TestFreeBeamRule:
         zone = eng._form_zone(node.position, eng.nodes[3].position, eng.nodes[4].position)
         with pytest.raises(RuntimeError, match="node 1 has one target on two sectors"):
             eng._point(node, other, 4, zone)
-        assert (other.state, other.target_id) == (BeamState.IDLE, None)
+        assert other.target_id is None
 
 
-def every_beam(eng: Engine) -> list[tuple[int, int, BeamState, int | None, float]]:
-    """(node, sector, state, target, beamwidth) of every beam of ``eng``."""
+def every_beam(eng: Engine) -> list[tuple[int, int, int | None, float]]:
+    """(node, sector, target, beamwidth) of every beam of ``eng``."""
     return [
-        (nid, k, b.state, b.target_id, b.beamwidth)
+        (nid, k, b.target_id, b.beamwidth)
         for nid, node in eng.nodes.items()
         for k, b in enumerate(node.sectors)
     ]
@@ -897,11 +876,11 @@ class TestFailedResume:
         scanning = eng.nodes[1].sectors[
             sector_of(bearing_deg(eng.nodes[1].position, prediction), 4)
         ]
-        scanning.state, scanning.target_id = BeamState.SCANNING, 3
+        scanning.target_id = 3
         busy = eng.nodes[2].sectors[
             sector_of(bearing_deg(eng.nodes[2].position, prediction), 4)
         ]
-        busy.state, busy.target_id = BeamState.TRACKING, 4
+        busy.target_id = 4
         return eng, track, scanning, busy
 
     def test_the_survivor_keeps_its_scanning_beam(self):
@@ -912,8 +891,7 @@ class TestFailedResume:
         assert track.suspension is not None
         assert track.suspension.reauth is False
         assert eng.nodes[1].beam_for_target(3) is scanning
-        assert scanning.state is BeamState.SCANNING
-        assert (busy.state, busy.target_id) == (BeamState.TRACKING, 4)
+        assert busy.target_id == 4
         assert eng.log.switches == []
 
     def test_a_claim_on_a_busy_sector_changes_nothing(self):
@@ -1033,7 +1011,7 @@ class TestSwitchTrustsItsClaim:
         eng._release(1, 4)
         prediction = track.predict(self.T)
         facing = eng.nodes[1].beam_facing(prediction)
-        facing.state, facing.target_id = BeamState.TRACKING, 9
+        facing.target_id = 9
         cands = eng._reference_candidates(prediction, {1, 2, 4})
         assert eng._partner_for(eng.nodes[1], prediction, cands, 4) is eng.nodes[3]
 
@@ -1061,7 +1039,7 @@ class TestRebuild:
         at = TestRebuild.T - SCAN_DURATION - 7.0
         eng._suspend(track, 2, SwitchCause.OUT_OF_RANGE, at, reauth=False)
         scanning = eng.nodes[1].beam_for_target(4)
-        assert scanning.state is BeamState.SCANNING
+        assert scanning is not None and track.suspension is not None
         eng.relations[1].status = None
         return eng, track, scanning
 
@@ -1075,9 +1053,9 @@ class TestRebuild:
         assert rebuilt is not track
         assert (rebuilt.ref_a, rebuilt.ref_b) == (2, 3)
         TestClaimPutsTrackOnAir().assert_on_air(eng, rebuilt)
-        assert (scanning.state, scanning.target_id) == (BeamState.IDLE, None)
+        assert scanning.target_id is None
         for rid in (2, 3):
-            assert eng.nodes[rid].beam_for_target(4).state is BeamState.TRACKING
+            assert eng.nodes[rid].beam_for_target(4) is not None
         (event,) = eng.log.switches
         assert (event.t, event.old_ref, event.new_ref, event.cause) == (self.T, 2, 2, s.cause)
         assert event.delay_s == self.T - s.at + eng.cfg.auth_duration
@@ -1104,7 +1082,7 @@ class TestRebuild:
         eng._try_switch(track, self.T)
 
         assert eng.tracks[4] is track and track.suspension is suspension
-        assert (scanning.state, scanning.target_id) == (BeamState.IDLE, None)
+        assert scanning.target_id is None
         assert all(node.beam_for_target(4) is None for node in eng.nodes.values())
         assert eng.log.switches == []
         assert beam_ledger_faults(eng, self.T) == []
@@ -1157,28 +1135,27 @@ class TestLiveChecks:
 def beam_ledger_faults(eng: Engine, t: float) -> list[str]:
     """Each way ``eng``'s beams break the beam ledger at time ``t``; reads only.
 
-    The ledger:
-    - an IDLE beam has no target;
+    A beam is held exactly when it has a target, and it tracks or scans as
+    that target's track is active or suspended.  The ledger:
     - a node holds at most one beam per target;
     - a held beam's target has a track, and the node holding it is one of
       that track's two references;
-    - an active track's two references each hold a TRACKING beam for it;
+    - an active track's two references each hold one beam for it;
     - a suspended track's failed reference holds no beam for it, and its
-      survivor holds one SCANNING beam for it, or none once a retry may
-      have run (SCAN_DURATION after the suspension): a rebuild that finds
-      no pair leaves the track holding no beam.
+      survivor holds one beam for it, or none once a retry may have run
+      (SCAN_DURATION after the suspension): a rebuild that finds no pair
+      leaves the track holding no beam.
     """
     faults = []
-    held: dict[tuple[int, int], list[BeamState]] = {}  # (node, target) -> held beams' states
+    held: dict[tuple[int, int], int] = {}  # (node, target) -> how many beams hold it
     for nid, node in eng.nodes.items():
-        for k, beam in enumerate(node.sectors):
-            if beam.state is not BeamState.IDLE:
-                held.setdefault((nid, beam.target_id), []).append(beam.state)
-            elif beam.target_id is not None:
-                faults.append(f"node {nid} sector {k} is IDLE with target {beam.target_id}")
-    for (nid, target), states in held.items():
-        if len(states) > 1:
-            faults.append(f"node {nid} holds target {target} on {len(states)} sectors")
+        for beam in node.sectors:
+            if beam.target_id is not None:
+                key = (nid, beam.target_id)
+                held[key] = held.get(key, 0) + 1
+    for (nid, target), n in held.items():
+        if n > 1:
+            faults.append(f"node {nid} holds target {target} on {n} sectors")
         track = eng.tracks.get(target)
         if track is None or nid not in (track.ref_a, track.ref_b):
             faults.append(f"node {nid} holds a beam for target {target} but is not its reference")
@@ -1186,19 +1163,23 @@ def beam_ledger_faults(eng: Engine, t: float) -> list[str]:
         s = track.suspension
         if s is None:
             for rid in (track.ref_a, track.ref_b):
-                if held.get((rid, target)) != [BeamState.TRACKING]:
-                    faults.append(f"active track {target}: reference {rid} is not TRACKING it")
+                if (rid, target) not in held:
+                    faults.append(f"active track {target}: reference {rid} holds no beam for it")
             continue
         if (s.failed_ref, target) in held:
             faults.append(f"suspended track {target}: failed reference {s.failed_ref} holds a beam")
         survivor = track.partner_of(s.failed_ref)
-        states = held.get((survivor, target))
-        if states is None:
-            if t < s.at + SCAN_DURATION:
-                faults.append(f"suspended track {target}: survivor {survivor} holds no beam")
-        elif states != [BeamState.SCANNING]:
-            faults.append(f"suspended track {target}: survivor {survivor} holds {states}")
+        if (survivor, target) not in held and t < s.at + SCAN_DURATION:
+            faults.append(f"suspended track {target}: survivor {survivor} holds no beam")
     return faults
+
+
+def active_tracks_referencing(eng: Engine, nid: int) -> int:
+    """How many active tracks have ``nid`` as a reference, at least 1."""
+    n = sum(
+        1 for tr in eng.tracks.values() if tr.suspension is None and nid in (tr.ref_a, tr.ref_b)
+    )
+    return max(1, n)
 
 
 def run_checking_ledger(cfg: ScenarioConfig) -> Engine:
@@ -1210,6 +1191,10 @@ def run_checking_ledger(cfg: ScenarioConfig) -> Engine:
         # Each pop follows the previous event's dispatch.
         faults = beam_ledger_faults(eng, eng.now)
         assert faults == [], f"t={eng.now}"
+        for nid, node in eng.nodes.items():
+            assert eng._tracking_beam_count(node) == active_tracks_referencing(eng, nid), (
+                f"t={eng.now}: node {nid}"
+            )
         return pop()
 
     eng.queue.pop = checked_pop
@@ -1234,6 +1219,80 @@ class TestBeamLedger:
     def test_the_ledger_holds_after_every_event(self, build, seed):
         eng = run_checking_ledger(build(seed))
         assert eng.log.switches, "the run switched no reference"
+
+
+class TestTrackingBeamCount:
+    """A reference splits its ranging energy over its active tracks' beams only."""
+
+    T = 10.0
+
+    @staticmethod
+    def shared_reference(suspended: bool) -> tuple[Engine, Track]:
+        # Reference 1 pairs with 2 for target 5 and with 3 for target 4,
+        # which lies in another of 1's sectors.  Target 4's track is
+        # suspended on 3, so 1's beam for 4 scans, or else still active.
+        cfg = quiet_cluster(
+            node_count=6,
+            malicious_count=2,
+            sigma_t=5.0e-9,
+            placements={
+                0: Position(200.0, 200.0),
+                1: Position(100.0, 100.0),
+                2: Position(300.0, 100.0),
+                3: Position(100.0, 300.0),
+                4: Position(60.0, 200.0),
+                5: Position(200.0, 160.0),
+            },
+            static_ids=frozenset(range(6)),
+        )
+        eng = Engine(cfg)
+        for ref in (1, 2, 3):
+            eng.relations[ref] = FriendRecord(status=protocol.FRIENDLY)
+        other = eng.tracks[4] = Track(
+            record=TrackRecord(4), ref_a=1, ref_b=3, anchor=eng.nodes[4].position, anchor_time=0.0
+        )
+        assert eng._claim_pair(other, 1, 3, 0.0)
+        if suspended:
+            eng._suspend(other, 3, SwitchCause.OUT_OF_RANGE, 0.0, reauth=False)
+        track = eng.tracks[5] = Track(
+            record=TrackRecord(5, sample_times=cfg.sample_times()),
+            ref_a=1,
+            ref_b=2,
+            anchor=eng.nodes[5].position,
+            anchor_time=0.0,
+        )
+        assert eng._claim_pair(track, 1, 2, 0.0)
+        assert beam_ledger_faults(eng, TestTrackingBeamCount.T) == []
+        return eng, track
+
+    @pytest.mark.parametrize(
+        "suspended, counts",
+        [(True, {0: 1, 1: 1, 2: 1, 3: 1}), (False, {0: 1, 1: 2, 2: 1, 3: 1})],
+        ids=["scan", "track"],
+    )
+    def test_a_node_counts_its_active_tracks_beams_and_at_least_one(self, suspended, counts):
+        # The cluster head and a failed reference hold no beam; they count 1.
+        eng, _ = self.shared_reference(suspended)
+        assert {nid: eng._tracking_beam_count(eng.nodes[nid]) for nid in counts} == counts
+
+    @pytest.mark.parametrize("suspended, m", [(True, 1), (False, 2)], ids=["scan", "track"])
+    def test_the_exchange_counts_only_active_tracks_beams(self, suspended, m, monkeypatch):
+        eng, track = self.shared_reference(suspended)
+        assert eng.ranging_sigma[1] != eng.ranging_sigma[2]
+        held = eng.nodes[1].beam_for_target(4)
+        sigmas = []
+        exchange = channel.exchange
+
+        def recording_exchange(*args):
+            sigmas.append(args[-1])
+            return exchange(*args)
+
+        monkeypatch.setattr(channel, "exchange", recording_exchange)
+        eng.tracking_tick(track, self.T)
+        assert (track.ref_a, track.ref_b) == (1, 2)  # the tick ranged, and switched nothing
+        assert eng.nodes[1].beam_for_target(4) is held
+        # Reference 1 ranges first.
+        assert sigmas[0] == eng.ranging_sigma[m]
 
 
 class TestPairingRule:
@@ -1265,8 +1324,8 @@ class TestPairingRule:
                 if point_line_distance(around, node.position, cand.position) < BASELINE_MARGIN:
                     faults.append("target on the baseline")
                 facing = sector_of(bearing_deg(cand.position, around), eng.cfg.sectors)
-                if cand.sectors[facing].state is not BeamState.IDLE:
-                    faults.append("no idle beam facing the target")
+                if cand.sectors[facing].target_id is not None:
+                    faults.append("no free beam facing the target")
                 checked[path].append((f"t={t} target {track.target} {ref_a}+{ref_b}", faults))
             return claim(eng, track, ref_a, ref_b, t)
 
@@ -1340,15 +1399,10 @@ def _attribute_writes(attr: str) -> list[tuple[str, str]]:
 class TestBeamClaims:
     """A beam is pointed and sized when it is claimed, never on a later tick."""
 
-    def test_only_point_makes_a_beam_tracking_or_gives_it_a_target(self):
-        # A held beam cannot have changed state or target since _point
-        # checked its exclusivity, which is why a tick leaves it alone.
-        state_writes = _attribute_writes("state")
-        assert ("_point", "TRACKING") in state_writes
-        assert {fn for fn, value in state_writes if value not in ("IDLE", "SCANNING")} == {
-            "_point"
-        }
-        assert {fn for fn, _ in _attribute_writes("target_id")} == {"_point", "release"}
+    def test_only_point_gives_a_beam_a_target_and_only_release_clears_it(self):
+        # A held beam cannot have changed target since _point checked its
+        # exclusivity, which is why a tick leaves it alone.
+        assert sorted(_attribute_writes("target_id")) == [("_point", "target"), ("release", "None")]
 
     def test_claims_size_beams_once_not_per_tick(self, monkeypatch):
         calls = {"beamwidth_for_zone": 0, "_point": 0, "tracking_tick": 0}
@@ -1379,10 +1433,10 @@ class TestBeamClaims:
         slots = [eng.nodes[rid].sectors for rid in (track.ref_a, track.ref_b)]
 
         def held():
-            return [(b.state, b.target_id, s.index(b), b.beamwidth) for b, s in zip(beams, slots)]
+            return [(b.target_id, s.index(b), b.beamwidth) for b, s in zip(beams, slots)]
 
         before = held()
-        assert all(state is BeamState.TRACKING for state, *_ in before)
+        assert track.suspension is None and all(target == 3 for target, *_ in before)
 
         def no_claim(*args):
             raise AssertionError("a held beam was claimed again")

@@ -27,7 +27,7 @@ import pytest
 from sectrack.channel import ranging_noise_std
 from sectrack.cipher import derive_stream_seed
 from sectrack.config import ScenarioConfig
-from sectrack.engine import MALICIOUS_TARGET, Engine, NodeState
+from sectrack.engine import MALICIOUS_TARGET, Engine
 from sectrack.geometry import Position, distance
 from sectrack.protocol import FRIENDLY, detection_single
 from sectrack.scenarios import SWITCHING_SPEEDS, multi_target_config, switching_config
@@ -134,13 +134,13 @@ def observe_fixes(monkeypatch) -> list[dict]:
     truth from the tick's ``EstimateSample``.
     """
     tick, fix = Engine.tracking_tick, Engine._triangulate
-    beam_count = NodeState.tracking_beam_count
+    beam_count = Engine._tracking_beam_count
     fixes: list[dict] = []
     current: dict = {}
 
-    def observed_beam_count(node):
+    def observed_beam_count(self, node):
         # The tick asks a reference's beam count once per ranging exchange.
-        m = beam_count(node)
+        m = beam_count(self, node)
         chan = current["chan"]
         current["legs"].append((m, chan.c * ranging_noise_std(chan, m) / math.sqrt(2.0)))
         return m
@@ -168,7 +168,7 @@ def observe_fixes(monkeypatch) -> list[dict]:
             fixes.append(dict(current, est=sample.est, truth=sample.truth))
 
     monkeypatch.setattr(Engine, "tracking_tick", observed_tick)
-    monkeypatch.setattr(NodeState, "tracking_beam_count", observed_beam_count)
+    monkeypatch.setattr(Engine, "_tracking_beam_count", observed_beam_count)
     monkeypatch.setattr(Engine, "_triangulate", observed_fix)
     return fixes
 

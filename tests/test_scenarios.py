@@ -179,11 +179,11 @@ class TestFriendlinessLayoutFitsTheArea:
 # SHA-256 of every output file at master seed 2, taken before the tracking
 # tick was reworked (the trajectory tree: before mobility steps were
 # batched), and re-pinned where a declared re-baseline moved a file (a
-# tick no longer takes a beam SCANNING for another target).
-# bench/golden.json pins seed 1 only, so these hold the engine to its
-# bytes on a seed the benchmark never checks.  The multi-target entry is
-# the benchmark's tracking-dense workload, where tracking ticks (and so
-# beam claims) are densest.
+# tick no longer takes a suspended track's scanning beam for another
+# target).  bench/golden.json pins seed 1 only, so these hold the engine
+# to its bytes on a seed the benchmark never checks.  The multi-target
+# entry is the benchmark's tracking-dense workload, where tracking ticks
+# (and so beam claims) are densest.
 HELD_OUT_TREES = {
     "multi-target": (
         {"sim.sample_interval": "1.0", "sim.seeds": "4"},
