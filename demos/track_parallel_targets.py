@@ -11,7 +11,8 @@ from sectrack.metrics import mean_tracking_error, plt_efficiency, write_csv
 from sectrack.scenarios import run_trajectory, trajectory_config
 
 cfg = ScenarioConfig(master_seed=1)
-lanes = trajectory_config(cfg).placements
+run_cfg = trajectory_config(cfg)
+lanes, sample_times = run_cfg.placements, run_cfg.sample_times()
 log = run_trajectory(cfg)
 
 print("target  lane-y  estimates  mean-err  efficiency")
@@ -19,7 +20,7 @@ for target in sorted(log.tracks):
     rec = log.tracks[target]
     lane_y = lanes[target].y
     print(f"{target:6d} {lane_y:7.0f} {len(rec.estimates):10d} "
-          f"{mean_tracking_error(rec):8.2f}  {plt_efficiency(rec):9.2f}")
+          f"{mean_tracking_error(rec):8.2f}  {plt_efficiency(rec, sample_times):9.2f}")
 
 print(f"\nreference switches during the run: {len(log.switches)}")
 for ev in log.switches[:5]:

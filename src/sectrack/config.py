@@ -117,19 +117,16 @@ class ScenarioConfig:
                 f"'sectors' ({self.sectors}) must not exceed the channel model's "
                 f"{MAX_BEAMS} beams"
             )
-        if self.v_min > self.v_max:
-            raise ConfigError(f"'v_min' ({self.v_min}) must not exceed 'v_max' ({self.v_max})")
-        if self.rho_min > self.rho_max:
-            raise ConfigError(
-                f"'rho_min' ({self.rho_min}) must not exceed 'rho_max' ({self.rho_max})"
-            )
-        if self.sample_interval > self.duration:
+        for low, high in (
+            ("v_min", "v_max"),
+            ("rho_min", "rho_max"),
             # Efficiency is the share of the tracking instants k * sample_interval
             # inside the run, so a run needs at least one.
-            raise ConfigError(
-                f"'sample_interval' ({self.sample_interval}) must not exceed "
-                f"'duration' ({self.duration})"
-            )
+            ("sample_interval", "duration"),
+        ):
+            lo, hi = getattr(self, low), getattr(self, high)
+            if lo > hi:
+                raise ConfigError(f"'{low}' ({lo}) must not exceed '{high}' ({hi})")
         if self.scenario not in SCENARIO_NAMES:
             raise ConfigError(
                 f"'scenario' must be one of {', '.join(SCENARIO_NAMES)}; got '{self.scenario}'"

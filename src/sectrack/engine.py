@@ -151,6 +151,7 @@ class Suspension:
 
 @dataclass
 class Track:
+    target: int
     record: TrackRecord
     ref_a: int
     ref_b: int
@@ -160,10 +161,6 @@ class Track:
     resume_at: float = 0.0
     consecutive_no_fix: int = 0
     suspension: Suspension | None = None  # None exactly while the track is active
-
-    @property
-    def target(self) -> int:
-        return self.record.target
 
     def partner_of(self, ref: int) -> int:
         return self.ref_b if self.ref_a == ref else self.ref_a
@@ -578,7 +575,7 @@ class Engine:
         target = self.nodes[target_id]
         fix = target.position  # detection fix at assignment time
         old = self.tracks.get(target_id)
-        record = old.record if old else TrackRecord(target_id, sample_times=self.cfg.sample_times())
+        record = old.record if old else TrackRecord()
         contention_logged = False
         cands = self._reference_candidates(fix, exclude={target_id})
         for i, ref_a in enumerate(cands):
@@ -592,7 +589,7 @@ class Engine:
             ref_b = self._partner_for(ref_a, fix, cands[i + 1 :], target_id)
             if ref_b is None:
                 continue
-            track = Track(record=record, ref_a=ref_a.id, ref_b=ref_b.id, anchor=fix, anchor_time=t)
+            track = Track(target_id, record, ref_a.id, ref_b.id, anchor=fix, anchor_time=t)
             self._claim_pair(track, ref_a.id, ref_b.id, t)
             self.log.tracks[target_id] = record
             self.tracks[target_id] = track

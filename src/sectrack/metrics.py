@@ -64,11 +64,9 @@ class VerdictEvent(NamedTuple):
 
 @dataclass
 class TrackRecord:
-    """Lifetime record of one target's track."""
+    """Lifetime record of one target's track; ``MetricsLog.tracks`` keys it by target."""
 
-    target: int
     estimates: list[EstimateSample] = field(default_factory=list)
-    sample_times: tuple[float, ...] = ()
 
     def add_estimate(self, sample: EstimateSample) -> None:
         if self.estimates and sample.t <= self.estimates[-1].t:
@@ -92,8 +90,8 @@ class MetricsLog:
     switching_summary: list[tuple[float, int, float]] = field(default_factory=list)
 
 
-def plt_efficiency(track: TrackRecord, tol: float = 5.0) -> float:
-    """Fraction of scheduled sample instants with a fix within tol meters.
+def plt_efficiency(track: TrackRecord, sample_times: tuple[float, ...], tol: float = 5.0) -> float:
+    """Fraction of the run's schedule, sample_times, with a fix within tol meters.
 
     Instants with no estimate (not yet assigned, suspended, lost) count
     as failures.  The default tolerance of 5 m is the accuracy knob that
@@ -101,15 +99,15 @@ def plt_efficiency(track: TrackRecord, tol: float = 5.0) -> float:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not track.sample_times:
+    if not sample_times:
         raise ValueError("track has an empty sample schedule")
     by_time = {s.t: s for s in track.estimates}
     hits = 0
-    for t in track.sample_times:
+    for t in sample_times:
         s = by_time.get(t)
         if s is not None and s.err <= tol:
             hits += 1
-    return hits / len(track.sample_times)
+    return hits / len(sample_times)
 
 
 def mean_tracking_error(track: TrackRecord) -> float:

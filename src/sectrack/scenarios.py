@@ -122,13 +122,15 @@ def run_multi_target(cfg: ScenarioConfig) -> MetricsLog:
     keyed by that construction (1-based sector index).
     """
     out = MetricsLog()
+    # multi_target_config keeps duration and sample_interval, so every seed ticks on this.
+    sample_times = cfg.sample_times()
     for rep in range(cfg.seeds):
         seed = derive_stream_seed(cfg.master_seed, "multi-target", rep)
         log = run_scenario(multi_target_config(cfg, seed))
         for target in sorted(log.tracks):
             record = log.tracks[target]
             sector = target - MULTI_TARGET_FIRST_ID + 1
-            out.efficiency_rows.append((sector, rep, plt_efficiency(record)))
+            out.efficiency_rows.append((sector, rep, plt_efficiency(record, sample_times)))
     return out
 
 

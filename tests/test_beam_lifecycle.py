@@ -168,7 +168,7 @@ class TestOffSectorClaim:
         # sector 0.  2 failed, 1 scans, and 4 has moved into 1's sector 1.
         eng = test_engine.TestClaimPutsTrackOnAir.cluster()
         track = eng.tracks[4] = Track(
-            record=TrackRecord(4), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
+            4, TrackRecord(), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
         )
         eng._claim_pair(track, 1, 2, 0.0)
         eng._suspend(track, 2, SwitchCause.FRIENDLINESS_LOST, cls.T - 7.0, reauth=False)

@@ -219,14 +219,25 @@ class TestBatchedMobility:
 
 
 class TestRunScenario:
-    def test_exactly_100_samples_static_noiseless(self):
-        log = run_scenario(quiet_cluster())
+    def test_exactly_100_samples_static_noiseless(self, monkeypatch):
+        cfg = quiet_cluster()
+        eng = Engine(cfg)
+        ticks = []
+
+        def tick(t, _handler=eng._handle_track_tick):
+            ticks.append(t)
+            return _handler(t)
+
+        monkeypatch.setattr(eng, "_handle_track_tick", tick)
+        log = eng.run()
         assert len(log.tracks) == 1
         track = log.tracks[3]
         assert len(track.estimates) == 100
-        assert track.sample_times == tuple(5.0 * k for k in range(1, 101))
+        # The schedule the efficiency is scored on is the one the run ticked on.
+        sample_times = cfg.sample_times()
+        assert tuple(ticks) == sample_times == tuple(5.0 * k for k in range(1, 101))
         assert max(s.err for s in track.estimates) < 1e-6
-        assert plt_efficiency(track) == 1.0
+        assert plt_efficiency(track, sample_times) == 1.0
 
     def test_zero_malicious_no_tracks(self):
         cfg = quiet_cluster(malicious_count=0, duration=100.0)
@@ -799,7 +810,8 @@ class TestFreeBeamRule:
         )
         eng = Engine(cfg)
         eng.tracks[4] = Track(
-            record=TrackRecord(4),
+            target=4,
+            record=TrackRecord(),
             ref_a=1,
             ref_b=3,
             anchor=eng.nodes[4].position,
@@ -807,7 +819,8 @@ class TestFreeBeamRule:
             suspension=Suspension(0.0, 3, SwitchCause.OUT_OF_RANGE, reauth=False),
         )
         track = eng.tracks[5] = Track(
-            record=TrackRecord(5, sample_times=cfg.sample_times()),
+            target=5,
+            record=TrackRecord(),
             ref_a=1,
             ref_b=2,
             anchor=eng.nodes[5].position,
@@ -865,7 +878,8 @@ class TestFailedResume:
         for ref in (1, 2):
             eng.relations[ref] = FriendRecord(status=protocol.FRIENDLY)
         track = eng.tracks[3] = Track(
-            record=TrackRecord(3),
+            target=3,
+            record=TrackRecord(),
             ref_a=1,
             ref_b=2,
             anchor=eng.nodes[3].position,
@@ -923,7 +937,7 @@ class TestSwitchDelay:
         for ref in (1, 2, 3):
             eng.relations[ref] = FriendRecord(status=protocol.FRIENDLY)
         track = eng.tracks[4] = Track(
-            record=TrackRecord(4), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=t
+            4, TrackRecord(), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=t
         )
         eng._claim_pair(track, 1, 2, t)
         if gap is not None:
@@ -964,7 +978,7 @@ class TestClaimPutsTrackOnAir:
     def suspended_track(self, eng: Engine, reauth: bool) -> Track:
         """Target 4 tracked by 1 and 2 since t=0, then suspended on 2 with no fix lately."""
         track = eng.tracks[4] = Track(
-            record=TrackRecord(4), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
+            4, TrackRecord(), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
         )
         eng._claim_pair(track, 1, 2, 0.0)
         track.consecutive_no_fix = 1
@@ -1033,7 +1047,7 @@ class TestRebuild:
         # scanning, and 1 has since lapsed, so the retry must rebuild.
         eng = TestClaimPutsTrackOnAir.cluster()
         track = eng.tracks[4] = Track(
-            record=TrackRecord(4), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
+            4, TrackRecord(), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
         )
         eng._claim_pair(track, 1, 2, 0.0)
         at = TestRebuild.T - SCAN_DURATION - 7.0
@@ -1098,7 +1112,7 @@ class TestLiveChecks:
         # References 1 and 2 track target 4 with both beams claimed.
         eng = TestClaimPutsTrackOnAir.cluster()
         track = eng.tracks[4] = Track(
-            record=TrackRecord(4), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
+            4, TrackRecord(), ref_a=1, ref_b=2, anchor=eng.nodes[4].position, anchor_time=0.0
         )
         assert eng._claim_pair(track, 1, 2, 0.0)
         eng._check_invariants(TestLiveChecks.T)
@@ -1249,13 +1263,14 @@ class TestTrackingBeamCount:
         for ref in (1, 2, 3):
             eng.relations[ref] = FriendRecord(status=protocol.FRIENDLY)
         other = eng.tracks[4] = Track(
-            record=TrackRecord(4), ref_a=1, ref_b=3, anchor=eng.nodes[4].position, anchor_time=0.0
+            4, TrackRecord(), ref_a=1, ref_b=3, anchor=eng.nodes[4].position, anchor_time=0.0
         )
         assert eng._claim_pair(other, 1, 3, 0.0)
         if suspended:
             eng._suspend(other, 3, SwitchCause.OUT_OF_RANGE, 0.0, reauth=False)
         track = eng.tracks[5] = Track(
-            record=TrackRecord(5, sample_times=cfg.sample_times()),
+            target=5,
+            record=TrackRecord(),
             ref_a=1,
             ref_b=2,
             anchor=eng.nodes[5].position,

@@ -24,10 +24,14 @@ from sectrack.scenarios import run_trajectory, trajectory_config
 from sectrack.engine import run_scenario
 
 
+def schedule(n=100, interval=5.0) -> tuple[float, ...]:
+    return tuple(interval * k for k in range(1, n + 1))
+
+
 def perfect_track(n=100, interval=5.0, err=0.0) -> TrackRecord:
-    track = TrackRecord(target=1, sample_times=tuple(interval * k for k in range(1, n + 1)))
-    for k in range(1, n + 1):
-        t = interval * k
+    """A fix at each instant of ``schedule(n, interval)``, each ``err`` m off."""
+    track = TrackRecord()
+    for k, t in enumerate(schedule(n, interval), start=1):
         p = Position(float(k), 0.0)
         track.add_estimate(EstimateSample(t, Position(p.x, p.y + err), p, err))
     return track
@@ -35,21 +39,28 @@ def perfect_track(n=100, interval=5.0, err=0.0) -> TrackRecord:
 
 class TestEfficiency:
     def test_perfect_track_is_one(self):
-        assert plt_efficiency(perfect_track()) == 1.0
+        assert plt_efficiency(perfect_track(), schedule()) == 1.0
 
     def test_half_suspended_at_most_half(self):
         track = perfect_track(n=100)
         track.estimates = track.estimates[:50]
-        assert plt_efficiency(track) <= 0.5
+        assert plt_efficiency(track, schedule(100)) <= 0.5
+
+    def test_every_scheduled_instant_counts(self):
+        # One fix, at the first instant only: one hit of ten.
+        track = perfect_track(n=1)
+        assert plt_efficiency(track, schedule(10)) == 0.1
+        # The score follows the schedule it is given, not the estimates.
+        assert plt_efficiency(perfect_track(n=10), schedule(5)) == 1.0
 
     def test_out_of_tolerance_counts_as_miss(self):
         track = perfect_track(n=10, err=6.0)
-        assert plt_efficiency(track, tol=5.0) == 0.0
-        assert plt_efficiency(track, tol=7.0) == 1.0
+        assert plt_efficiency(track, schedule(10), tol=5.0) == 0.0
+        assert plt_efficiency(track, schedule(10), tol=7.0) == 1.0
         # The default tolerance is the README's 5 m.
-        assert plt_efficiency(track) == 0.0
-        assert plt_efficiency(perfect_track(n=10, err=7.0)) == 0.0
-        assert plt_efficiency(perfect_track(n=10, err=5.0)) == 1.0
+        assert plt_efficiency(track, schedule(10)) == 0.0
+        assert plt_efficiency(perfect_track(n=10, err=7.0), schedule(10)) == 0.0
+        assert plt_efficiency(perfect_track(n=10, err=5.0), schedule(10)) == 1.0
 
     def test_partial_last_interval_not_counted_as_miss(self):
         # 13 s at 5 s intervals holds two instants; t = 15 lies past the run.
@@ -57,7 +68,7 @@ class TestEfficiency:
         times = cfg.sample_times()
         assert times == (5.0, 10.0)
         assert all(t <= cfg.duration for t in times)
-        assert plt_efficiency(perfect_track(n=len(times))) == 1.0
+        assert plt_efficiency(perfect_track(n=len(times)), times) == 1.0
 
     def test_sample_times_never_pass_duration(self):
         for duration, interval in ((13.0, 5.0), (14.9, 5.0), (1.0, 0.1), (0.3, 0.1), (500.0, 5.0)):
@@ -84,19 +95,18 @@ class TestEfficiency:
             static_ids=frozenset({0, 1, 2, 3}),
         )
         track = run_scenario(cfg).tracks[3]
-        assert track.sample_times == (5.0, 10.0)
-        assert plt_efficiency(track) == 1.0
+        assert [s.t for s in track.estimates] == [5.0, 10.0]
+        assert plt_efficiency(track, cfg.sample_times()) == 1.0
 
     def test_empty_schedule_rejected(self):
-        track = TrackRecord(target=1)
-        with pytest.raises(ValueError):
-            plt_efficiency(track)
+        with pytest.raises(ValueError, match="empty sample schedule"):
+            plt_efficiency(perfect_track(), ())
 
 
 class TestTrackRecord:
     @pytest.mark.parametrize("t", [5.0, 4.0])
     def test_a_non_increasing_estimate_time_is_refused(self, t):
-        track = TrackRecord(target=1)
+        track = TrackRecord()
         p = Position(1.0, 0.0)
         track.add_estimate(EstimateSample(5.0, p, p, 0.0))
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -110,7 +120,7 @@ class TestMeanError:
 
     def test_requires_estimates(self):
         with pytest.raises(ValueError):
-            mean_tracking_error(TrackRecord(target=1))
+            mean_tracking_error(TrackRecord())
 
     def test_doubling_noise_increases_error(self):
         cfg = ScenarioConfig(master_seed=77)
