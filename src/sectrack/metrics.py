@@ -100,7 +100,7 @@ def plt_efficiency(track: TrackRecord, sample_times: tuple[float, ...], tol: flo
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not sample_times:
-        raise ValueError("track has an empty sample schedule")
+        raise ValueError("empty sample schedule")
     by_time = {s.t: s for s in track.estimates}
     hits = 0
     for t in sample_times:

@@ -122,15 +122,14 @@ def run_multi_target(cfg: ScenarioConfig) -> MetricsLog:
     keyed by that construction (1-based sector index).
     """
     out = MetricsLog()
-    # multi_target_config keeps duration and sample_interval, so every seed ticks on this.
-    sample_times = cfg.sample_times()
     for rep in range(cfg.seeds):
         seed = derive_stream_seed(cfg.master_seed, "multi-target", rep)
-        log = run_scenario(multi_target_config(cfg, seed))
-        for target in sorted(log.tracks):
-            record = log.tracks[target]
+        run_cfg = multi_target_config(cfg, seed)
+        log = run_scenario(run_cfg)
+        for target, record in sorted(log.tracks.items()):
             sector = target - MULTI_TARGET_FIRST_ID + 1
-            out.efficiency_rows.append((sector, rep, plt_efficiency(record, sample_times)))
+            efficiency = plt_efficiency(record, run_cfg.sample_times())
+            out.efficiency_rows.append((sector, rep, efficiency))
     return out
 
 

@@ -219,23 +219,15 @@ class TestBatchedMobility:
 
 
 class TestRunScenario:
-    def test_exactly_100_samples_static_noiseless(self, monkeypatch):
+    def test_exactly_100_samples_static_noiseless(self):
         cfg = quiet_cluster()
-        eng = Engine(cfg)
-        ticks = []
-
-        def tick(t, _handler=eng._handle_track_tick):
-            ticks.append(t)
-            return _handler(t)
-
-        monkeypatch.setattr(eng, "_handle_track_tick", tick)
-        log = eng.run()
+        log = run_scenario(cfg)
         assert len(log.tracks) == 1
         track = log.tracks[3]
-        assert len(track.estimates) == 100
-        # The schedule the efficiency is scored on is the one the run ticked on.
+        # The schedule the efficiency is scored on is the one the run sampled on.
         sample_times = cfg.sample_times()
-        assert tuple(ticks) == sample_times == tuple(5.0 * k for k in range(1, 101))
+        assert tuple(s.t for s in track.estimates) == sample_times
+        assert sample_times == tuple(5.0 * k for k in range(1, 101))
         assert max(s.err for s in track.estimates) < 1e-6
         assert plt_efficiency(track, sample_times) == 1.0
 

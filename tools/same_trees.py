@@ -2,13 +2,14 @@
 
 Usage, from anywhere in a checkout:
 
-    python3 tools/same_trees.py --against PATH [--seeds 1 2 3]
+    python3 tools/same_trees.py --against PATH
 
-For each master seed S, ``python -m sectrack --scenario all --master-seed S``
-runs once from this checkout's ``src`` and once from ``PATH/src``, each
-into its own temporary directory.  Per seed, the script prints every file
-whose SHA-256 differs or that exists on one side only.  It exits 1 when
-any seed shows a difference, 2 when a run fails, and 0 otherwise.
+For each master seed S in SEEDS, ``python -m sectrack --scenario all
+--master-seed S`` runs once from this checkout's ``src`` and once from
+``PATH/src``, each into its own temporary directory.  Per seed, the script
+prints every file whose SHA-256 differs or that exists on one side only.
+It exits 1 when any seed shows a difference, 2 when a run fails, and 0
+otherwise.
 
 The trees go to temporary directories and no bytecode is written, so
 neither checkout changes.  Only the standard library is used.
@@ -17,7 +18,6 @@ neither checkout changes.  Only the standard library is used.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import subprocess
 import sys
@@ -25,50 +25,33 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3, 4)
+RUN = ("--scenario", "all")
+
+# Files are compared by the benchmark's own digest rule.
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(ROOT / "bench"))
+import run as bench  # noqa: E402
 
 
 def start(checkout: Path, seed: int, out: Path) -> subprocess.Popen:
-    """Start the default `all` run of ``checkout`` at ``seed`` into ``out``."""
+    """Start the RUN of ``checkout`` at ``seed`` into ``out``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "sectrack", "--scenario", "all"]
-    cmd += ["--master-seed", str(seed), "--out", str(out)]
+    cmd = [sys.executable, "-m", "sectrack", *RUN, "--master-seed", str(seed), "--out", str(out)]
     return subprocess.Popen(
         cmd, cwd=out.parent, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
     )
 
 
-def digests(root: Path) -> dict[str, str]:
-    return {
-        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
-
-
-def differences(ours: dict[str, str], theirs: dict[str, str]) -> list[str]:
-    """One line per file that differs or exists on one side only."""
-    lines = []
-    for name in sorted(ours.keys() | theirs.keys()):
-        if name not in theirs:
-            lines.append(f"only here     {name}")
-        elif name not in ours:
-            lines.append(f"only against  {name}")
-        elif ours[name] != theirs[name]:
-            lines.append(f"differs       {name}")
-    return lines
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, type=Path, help="the other checkout")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3], help="master seeds")
-    args = parser.parse_args(argv)
-    against = args.against.resolve()
+    against = parser.parse_args(argv).against.resolve()
     if not (against / "src" / "sectrack").is_dir():
         parser.error(f"{against} holds no src/sectrack")
 
     status = 0
-    for seed in args.seeds:
+    for seed in SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             sides = {"here": ROOT, "against": against}
             runs = {side: start(path, seed, Path(tmp) / side) for side, path in sides.items()}
@@ -77,13 +60,13 @@ def main(argv: list[str] | None = None) -> int:
                 if proc.returncode != 0:
                     print(f"seed {seed}: the run {side} ({sides[side]}) failed:\n{errors[side]}")
                     return 2
-            ours, theirs = digests(Path(tmp) / "here"), digests(Path(tmp) / "against")
-        lines = differences(ours, theirs)
+            ours, theirs = (bench.tree_digests(Path(tmp) / side) for side in sides)
+        differ = sorted({p for p, _ in set(ours.items()) ^ set(theirs.items())})
         print(f"seed {seed}: {len(ours)} files here, {len(theirs)} against, "
-              f"{len(lines)} differences")
-        for line in lines:
-            print(f"  {line}")
-        if lines:
+              f"{len(differ)} differences")
+        for name in differ:
+            print(f"  {name}")
+        if differ:
             status = 1
     return status
 
