@@ -7,6 +7,11 @@ tracking zone focused on each one, range it with two-way timestamp
 exchanges on their sectored beams, triangulate, and switch references
 when range, zone, friendliness or sector availability breaks down.
 
+Each event carries the handler that runs it.  A node holds one piece of
+ground truth, its ``malicious`` flag.  Only the screen, which plays the
+candidate's part with it, and the reference filter read it; the filter
+and the flag's copy in a verdict are known leaks (ROADMAP item 9).
+
 Determinism contract: one master seed fans out into per-node and
 per-purpose streams; events dispatch in nondecreasing time with FIFO
 order among equal times, so identical configs produce identical logs.
@@ -18,6 +23,7 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -61,25 +67,6 @@ BASELINE_MARGIN = 25.0
 AREA_SLACK = 10.0
 
 
-# The members that the event loop, the sweeps and the tracking ticks
-# compare against are bound once to module names, one line each, below
-# their enums.  On CPython 3.10 and 3.11 ``EnumType.__getattr__`` makes a
-# class lookup such as ``EventKind.TRACK`` about ten times the cost of
-# a global read.  Each name is the member object itself, so every ``is``
-# test answers as before.
-
-
-class Role(enum.Enum):
-    CLUSTER_HEAD = "cluster_head"
-    FRIENDLY_REFERENCE = "friendly_reference"
-    MALICIOUS_TARGET = "malicious_target"
-
-
-CLUSTER_HEAD = Role.CLUSTER_HEAD
-FRIENDLY_REFERENCE = Role.FRIENDLY_REFERENCE
-MALICIOUS_TARGET = Role.MALICIOUS_TARGET
-
-
 # A relation's status is the screen's standing verdict, so its members
 # are the protocol's own.
 FRIENDLY = protocol.FRIENDLY
@@ -106,7 +93,6 @@ class FriendRecord:
     """The cluster head's relation with one screened neighbor."""
 
     status: protocol.Verdict | None = None  # None: no standing verdict
-    detected_at: float = 0.0  # time of the last MALICIOUS verdict; read only while MALICIOUS
     consecutive_failures: int = 0
     busy: bool = False  # a screen's verdict or a failed screen's scan is due
 
@@ -114,7 +100,7 @@ class FriendRecord:
 @dataclass
 class NodeState:
     id: int
-    role: Role
+    malicious: bool  # ground truth, which the cluster head cannot observe
     mobility: mobility.MobilityState
     sectors: list[SectorBeam] = field(default_factory=list)
 
@@ -173,6 +159,8 @@ class Track:
 
 
 class EventKind(enum.Enum):
+    """An event's label; its handler, not its kind, decides what it does."""
+
     SWEEP = "sweep"
     ASSIGN = "assign"
     TRACK = "track"
@@ -180,26 +168,23 @@ class EventKind(enum.Enum):
     VERDICT = "verdict"
 
 
-SWEEP = EventKind.SWEEP
-ASSIGN = EventKind.ASSIGN
-TRACK = EventKind.TRACK
-SCAN_DONE = EventKind.SCAN_DONE
-VERDICT = EventKind.VERDICT
-
-
 class EventQueue:
-    """Time-ordered event dispatch, FIFO among equal timestamps."""
+    """Time-ordered event dispatch, FIFO among equal timestamps.
+
+    An event carries the handler that runs it and the arguments that
+    follow its time, so the loop calls ``handler(time, *args)``.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, EventKind, dict]] = []
+        self._heap: list[tuple[float, int, EventKind, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
 
-    def push(self, time: float, kind: EventKind, payload: dict | None = None) -> None:
-        heapq.heappush(self._heap, (time, next(self._seq), kind, payload or {}))
+    def push(self, time: float, kind: EventKind, handler: Callable[..., None], *args) -> None:
+        heapq.heappush(self._heap, (time, next(self._seq), kind, handler, args))
 
-    def pop(self) -> tuple[float, EventKind, dict]:
-        time, _, kind, payload = heapq.heappop(self._heap)
-        return time, kind, payload
+    def pop(self) -> tuple[float, EventKind, Callable[..., None], tuple]:
+        time, _, kind, handler, args = heapq.heappop(self._heap)
+        return time, kind, handler, args
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -237,6 +222,9 @@ class Engine:
         self.relations: dict[int, FriendRecord] = {}
 
         self.tracks: dict[int, Track] = {}
+        # Detected targets in the order their MALICIOUS verdicts landed;
+        # that verdict is final, as a sweep never screens the peer again.
+        self._detected: list[int] = []
         self._last_activation = float("-inf")
         # Scripted re-auth failures: ascending times per peer, consumed from the front.
         self._failures: dict[int, list[float]] = {}
@@ -253,11 +241,10 @@ class Engine:
         area = cfg.area_side
         first_target = cfg.node_count - cfg.malicious_count
         for nid in range(cfg.node_count):
+            malicious = nid >= first_target
             if nid == 0:
-                role = CLUSTER_HEAD
                 default_pos = Position(area / 2.0, area / 2.0)
             else:
-                role = MALICIOUS_TARGET if nid >= first_target else FRIENDLY_REFERENCE
                 default_pos = Position(rng.uniform(0, area), rng.uniform(0, area))
             pos = cfg.placements.get(nid, default_pos)
             if nid in cfg.static_ids:
@@ -268,7 +255,7 @@ class Engine:
                 node_rng = np.random.default_rng(
                     cipher.derive_stream_seed(cfg.master_seed, "mobility", nid)
                 )
-                if role is MALICIOUS_TARGET and cfg.model == "parallel_path":
+                if malicious and cfg.model == "parallel_path":
                     speed = float(node_rng.uniform(cfg.v_min, cfg.v_max))
                     mob = mobility.make_parallel_path(pos, speed, cfg.heading)
                 else:
@@ -276,24 +263,26 @@ class Engine:
                         pos, cfg.v_min, cfg.v_max, area, node_rng
                     )
             sectors = [SectorBeam(beamwidth=360.0 / cfg.sectors) for _ in range(cfg.sectors)]
-            self.nodes[nid] = NodeState(id=nid, role=role, mobility=mob, sectors=sectors)
+            self.nodes[nid] = NodeState(id=nid, malicious=malicious, mobility=mob, sectors=sectors)
             if node_rng is not None:
                 self._movers.append((self.nodes[nid], node_rng))
 
     def _schedule_all(self) -> None:
         cfg = self.cfg
 
-        def every(kind: EventKind, start: float, dt: float) -> None:
+        def every(
+            kind: EventKind, handler: Callable[[float], None], start: float, dt: float
+        ) -> None:
             # start + k * dt, not a running sum, so no rounding error piles up.
             k = 0
             while (t := start + k * dt) <= cfg.duration + 1e-9:
-                self.queue.push(t, kind)
+                self.queue.push(t, kind, handler)
                 k += 1
 
-        every(SWEEP, 0.0, cfg.reauth_interval)
-        every(ASSIGN, cfg.sample_interval / 2.0, cfg.sample_interval)
+        every(EventKind.SWEEP, self.reauthentication_tick, 0.0, cfg.reauth_interval)
+        every(EventKind.ASSIGN, self.assign_targets, cfg.sample_interval / 2.0, cfg.sample_interval)
         for t in cfg.sample_times():
-            self.queue.push(t, TRACK)
+            self.queue.push(t, EventKind.TRACK, self._handle_track_tick)
 
     # ------------------------------------------------------------------
     # event loop
@@ -307,7 +296,7 @@ class Engine:
         # last event move nothing that is read, so they are never stepped.
         stepped = 0
         while len(self.queue):
-            t, kind, payload = self.queue.pop()
+            t, _, handler, args = self.queue.pop()
             if t > end:
                 continue
             if t < self.now:
@@ -317,16 +306,7 @@ class Engine:
             if due > stepped:
                 self._step_movers(due - stepped)
                 stepped = due
-            if kind is SWEEP:
-                self.reauthentication_tick(t)
-            elif kind is ASSIGN:
-                self.assign_targets(t)
-            elif kind is TRACK:
-                self._handle_track_tick(t)
-            elif kind is SCAN_DONE:
-                self._handle_scan_done(t, payload)
-            elif kind is VERDICT:
-                self._handle_verdict(t, payload)
+            handler(t, *args)
         return self.log
 
     # ------------------------------------------------------------------
@@ -389,7 +369,7 @@ class Engine:
         init_seeds = cipher.SeedPair.from_measurements(d, bear, rtt_initiator, self.cfg.rtt_bucket)
         cand_seeds = cipher.SeedPair.from_measurements(d, bear, rtt_candidate, self.cfg.rtt_bucket)
 
-        honest = peer.role is not MALICIOUS_TARGET
+        honest = not peer.malicious
         if honest and self._forced_failure_pending(peer_id, t):
             # Injected failure: the candidate derives an off-by-one RTT seed.
             cand_seeds = cipher.SeedPair(cand_seeds.loc_seed, cand_seeds.rtt_seed + 1)
@@ -408,15 +388,13 @@ class Engine:
             rng=self.rng_protocol,
         )
         self.queue.push(
-            decided_at,
-            VERDICT,
-            {"peer": peer_id, "verdict": verdict, "honest": honest},
+            decided_at, EventKind.VERDICT, self._handle_verdict, peer_id, verdict, honest
         )
         self.relations.setdefault(peer_id, FriendRecord()).busy = True
 
-    def _handle_verdict(self, t: float, payload: dict) -> None:
-        peer_id = payload["peer"]
-        verdict: protocol.Verdict = payload["verdict"]
+    def _handle_verdict(
+        self, t: float, peer_id: int, verdict: protocol.Verdict, honest: bool
+    ) -> None:
         rec = self.relations[peer_id]  # made by the screen
         rec.busy = False
         self.log.verdicts.append(VerdictEvent(t, self.ch_node.id, peer_id, verdict.value))
@@ -430,9 +408,9 @@ class Engine:
                 self._resume_tracks_awaiting(peer_id, t)
             return
 
-        if not payload["honest"]:
+        if not honest:
             rec.status = verdict
-            rec.detected_at = t
+            self._detected.append(peer_id)
             self._relation_event(t, peer_id, "detected_malicious")
             return
 
@@ -445,18 +423,17 @@ class Engine:
         rec.busy = True
         self._relation_event(t, peer_id, "reauth_fail")
         self._relation_event(t, peer_id, "scan_start", scan)
-        self.queue.push(t + scan, SCAN_DONE, {"peer": peer_id})
+        self.queue.push(t + scan, EventKind.SCAN_DONE, self._end_relation_scan, peer_id)
         self._suspend_tracks_using(peer_id, t, reauth=True)
 
-    def _handle_scan_done(self, t: float, payload: dict) -> None:
-        if "peer" in payload:
-            peer_id = payload["peer"]
-            self.relations[peer_id].busy = False
-            self._relation_event(t, peer_id, "scan_end")
-            self._verify(peer_id, t)
-            return
-        # Track scan: retry the reference switch.
-        track = self.tracks[payload["target"]]  # tracks are never removed
+    def _end_relation_scan(self, t: float, peer_id: int) -> None:
+        self.relations[peer_id].busy = False
+        self._relation_event(t, peer_id, "scan_end")
+        self._verify(peer_id, t)
+
+    def _end_track_scan(self, t: float, target: int) -> None:
+        """Retry the reference switch of ``target``'s track."""
+        track = self.tracks[target]  # tracks are never removed
         if track.suspension is None or track.suspension.reauth:
             return
         self._try_switch(track, t)
@@ -496,13 +473,6 @@ class Engine:
     # ------------------------------------------------------------------
     # assignment
 
-    def _detected_targets(self) -> list[int]:
-        out = []
-        for peer_id, rec in self.relations.items():
-            if rec.status is MALICIOUS:
-                out.append((rec.detected_at, peer_id))
-        return [pid for _, pid in sorted(out)]
-
     def assign_targets(self, t: float) -> None:
         """Pair detected targets with references; retry suspended tracks."""
         # Retry suspended tracks whose scans have run dry.  Tracks still
@@ -519,7 +489,7 @@ class Engine:
         # sweep cadence: a fresh pairing rides on fresh SFV verdicts.
         if t - self._last_activation < self.cfg.reauth_interval:
             return
-        for target_id in self._detected_targets():
+        for target_id in self._detected:
             if target_id in self.tracks:
                 continue
             if self._activate_track(target_id, t):
@@ -530,7 +500,7 @@ class Engine:
         cands = []
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
-            if node.role is not FRIENDLY_REFERENCE or nid in exclude:
+            if node.malicious or nid in exclude:
                 continue
             if not self._is_friendly(nid):
                 continue
@@ -874,7 +844,9 @@ class Engine:
             FriendEvent(t, track.partner_of(failed_ref), track.target, "track_suspend", 0.0)
         )
         if not reauth:
-            self.queue.push(t + SCAN_DURATION, SCAN_DONE, {"target": track.target})
+            self.queue.push(
+                t + SCAN_DURATION, EventKind.SCAN_DONE, self._end_track_scan, track.target
+            )
 
     def _try_switch(self, track: Track, t: float) -> None:
         """Retry a pending switch after a scan or at an assignment pass."""

@@ -55,6 +55,7 @@ def lifecycle_engine() -> Engine:
         eng.relations[ref] = FriendRecord(status=protocol.FRIENDLY)
     for target in TARGETS:
         eng.relations[target] = FriendRecord(status=protocol.MALICIOUS)
+    eng._detected.extend(TARGETS)
     return eng
 
 
@@ -71,8 +72,7 @@ class BeamLifecycle(RuleBasedStateMachine):
 
     def verdict(self, ref: int, verdict: protocol.Verdict, dt: float) -> None:
         if ref not in self.scanning:  # a scanning relation is not screened
-            payload = {"peer": ref, "verdict": verdict, "honest": True}
-            self.eng._handle_verdict(self.later(dt), payload)
+            self.eng._handle_verdict(self.later(dt), ref, verdict, True)
             if self.eng.relations[ref].busy:  # only a failed verdict leaves it busy
                 self.scanning.add(ref)
 
@@ -102,7 +102,7 @@ class BeamLifecycle(RuleBasedStateMachine):
         # The scan's end re-screens ``ref``: it lapses if it moved out of range.
         if ref in self.scanning:
             self.scanning.discard(ref)
-            self.eng._handle_scan_done(self.later(dt), {"peer": ref})
+            self.eng._end_relation_scan(self.later(dt), ref)
 
     @rule(target_id=st.sampled_from(TARGETS), dt=STEPS)
     def end_track_scan(self, target_id, dt):
@@ -110,7 +110,7 @@ class BeamLifecycle(RuleBasedStateMachine):
         if track is not None and track.suspension is not None:
             # A track's scan ends SCAN_DURATION after its suspension.
             self.t = max(self.later(dt), track.suspension.at + SCAN_DURATION)
-            self.eng._handle_scan_done(self.t, {"target": target_id})
+            self.eng._end_track_scan(self.t, target_id)
 
     @rule(
         target_id=st.sampled_from(TARGETS),

@@ -20,7 +20,6 @@ from sectrack.engine import (
     EventQueue,
     FriendRecord,
     NodeState,
-    Role,
     SectorBeam,
     Suspension,
     Track,
@@ -67,9 +66,7 @@ def quiet_cluster(**overrides) -> ScenarioConfig:
 BOUND_MEMBERS = [
     (module, member.name, enum_cls)
     for module, enum_cls in (
-        (engine, Role),
         (engine, protocol.Verdict),
-        (engine, EventKind),
         (protocol, protocol.Verdict),
         (mobility, mobility.MobilityKind),
     )
@@ -93,7 +90,7 @@ class TestBeamForTarget:
     def node(*targets) -> NodeState:
         sectors = [SectorBeam(beamwidth=90.0, target_id=target) for target in targets]
         mob = mobility.make_parallel_path(Position(0.0, 0.0), 0.0, 0.0)
-        return NodeState(id=1, role=Role.FRIENDLY_REFERENCE, mobility=mob, sectors=sectors)
+        return NodeState(id=1, malicious=False, mobility=mob, sectors=sectors)
 
     def test_returns_the_beam_holding_the_target(self):
         node = self.node(None, 7, 8, None)
@@ -102,21 +99,25 @@ class TestBeamForTarget:
         assert node.beam_for_target(9) is None
 
 
+def no_op(t, *args) -> None:
+    pass
+
+
 class TestEventQueue:
     def test_time_order(self):
         q = EventQueue()
-        q.push(5.0, EventKind.TRACK)
-        q.push(1.0, EventKind.SWEEP)
-        q.push(3.0, EventKind.ASSIGN)
+        q.push(5.0, EventKind.TRACK, no_op)
+        q.push(1.0, EventKind.SWEEP, no_op)
+        q.push(3.0, EventKind.ASSIGN, no_op)
         times = [q.pop()[0] for _ in range(3)]
         assert times == [1.0, 3.0, 5.0]
 
     def test_fifo_among_equal_times(self):
         q = EventQueue()
         for i in range(10):
-            q.push(2.0, EventKind.SCAN_DONE, {"i": i})
-        order = [q.pop()[2]["i"] for _ in range(10)]
-        assert order == list(range(10))
+            q.push(2.0, EventKind.SCAN_DONE, no_op, i)
+        order = [q.pop() for _ in range(10)]
+        assert order == [(2.0, EventKind.SCAN_DONE, no_op, (i,)) for i in range(10)]
 
 
 class TestSchedule:
@@ -126,9 +127,24 @@ class TestSchedule:
         eng._schedule_all()
         times: dict[EventKind, list[float]] = {kind: [] for kind in EventKind}
         while len(eng.queue):
-            t, kind, _ = eng.queue.pop()
+            t, kind, _, _ = eng.queue.pop()
             times[kind].append(t)
         return times
+
+    def test_each_scheduled_event_carries_its_own_handler(self):
+        eng = Engine(quiet_cluster(duration=20.0))
+        eng._schedule_all()
+        handlers = {
+            EventKind.SWEEP: eng.reauthentication_tick,
+            EventKind.ASSIGN: eng.assign_targets,
+            EventKind.TRACK: eng._handle_track_tick,
+        }
+        kinds = set()
+        while len(eng.queue):
+            _, kind, handler, args = eng.queue.pop()
+            assert (handler, args) == (handlers[kind], ())
+            kinds.add(kind)
+        assert kinds == set(handlers)
 
     def test_event_times_are_multiples_not_running_sums(self):
         # 0.1 and 0.7 are inexact in binary: a running sum drifts off k * dt.
@@ -148,12 +164,14 @@ class TestSchedule:
 class TestBatchedMobility:
     """Movers step in batches, yet each event sees them as if stepped every tick."""
 
-    # Every handler the run loop dispatches to.
+    # Every handler an event carries.  Each is looked up when its event
+    # is pushed, so patching the engine before run() reaches every event.
     HANDLERS = (
         "reauthentication_tick",
         "assign_targets",
         "_handle_track_tick",
-        "_handle_scan_done",
+        "_end_relation_scan",
+        "_end_track_scan",
         "_handle_verdict",
     )
 
@@ -272,6 +290,17 @@ class TestRunScenario:
         eng = Engine(quiet_cluster(duration=100.0))
         eng.run()
         assert eng.relations[3].status is protocol.MALICIOUS
+
+    def test_the_cluster_head_is_never_a_reference_candidate(self):
+        # No sweep screens the cluster head, so it holds no relation and
+        # is never friendly, even where it lies nearest.
+        eng = Engine(quiet_cluster(duration=100.0))
+        eng.run()
+        head = eng.ch_node
+        assert head.id not in eng.relations
+        cands = eng._reference_candidates(head.position, exclude=set())
+        # Target 3 is left out by its truth flag.
+        assert [node.id for node in cands] == [1, 2]
 
     def test_peer_beyond_range_never_screened(self):
         # Static reference 2 sits ~255 m from the cluster head at (200, 200).
@@ -671,6 +700,52 @@ class TestFriendlinessTimers:
         assert [ev.t for ev in log.verdicts if ev.peer == 1] == sweeps
 
 
+class TestDetectionOrder:
+    """Detected targets wait for their pair in the order their verdicts landed."""
+
+    def test_equal_time_verdicts_land_in_id_order_and_the_lower_id_activates_first(self):
+        # Targets 5 and 6 sit 60 m north and south of the cluster head, so
+        # one noiseless sweep's screens of both fall due at one time, and
+        # every dishonest screen is caught.  Two reference pairs flank them.
+        cfg = quiet_cluster(
+            node_count=7,
+            malicious_count=2,
+            duration=60.0,
+            p_wh=0.0,
+            p_i=0.0,
+            p_r=0.0,
+            placements={
+                0: Position(200.0, 200.0),
+                1: Position(160.0, 200.0),
+                2: Position(240.0, 200.0),
+                3: Position(150.0, 130.0),
+                4: Position(250.0, 130.0),
+                5: Position(200.0, 260.0),
+                6: Position(200.0, 140.0),
+            },
+            static_ids=frozenset(range(7)),
+        )
+        eng = Engine(cfg)
+        activated = []
+        activate = eng._activate_track
+
+        def recording_activate(target_id, t):
+            ok = activate(target_id, t)
+            if ok:
+                activated.append((target_id, t))
+            return ok
+
+        eng._activate_track = recording_activate
+        log = eng.run()
+        first = [(ev.t, ev.peer) for ev in log.verdicts if ev.peer in (5, 6)][:2]
+        assert [peer for _, peer in first] == [5, 6]
+        assert first[0][0] == first[1][0]
+        assert all(ev.verdict == protocol.MALICIOUS.value for ev in log.verdicts if ev.peer >= 5)
+        assert eng._detected == [5, 6]
+        assert [target for target, _ in activated] == [5, 6]
+        assert activated[0][1] < activated[1][1]
+
+
 class TestRelationBusy:
     """A relation is busy from screen to verdict, and from a failed verdict to its scan's end."""
 
@@ -679,10 +754,9 @@ class TestRelationBusy:
     @staticmethod
     def land(eng: Engine, kind: EventKind) -> float:
         """Deliver the one queued event, which must be of ``kind``; its time."""
-        t, got, payload = eng.queue.pop()
+        t, got, handler, args = eng.queue.pop()
         assert got is kind and len(eng.queue) == 0
-        handle = eng._handle_verdict if kind is EventKind.VERDICT else eng._handle_scan_done
-        handle(t, payload)
+        handler(t, *args)
         return t
 
     @staticmethod
@@ -1131,7 +1205,7 @@ class TestLiveChecks:
 
         def assign_then_schedule_a_sweep_before_now(t):
             assign(t)
-            eng.queue.push(t - 1.0, EventKind.SWEEP)
+            eng.queue.push(t - 1.0, EventKind.SWEEP, eng.reauthentication_tick)
 
         monkeypatch.setattr(eng, "assign_targets", assign_then_schedule_a_sweep_before_now)
         with pytest.raises(RuntimeError, match="event queue delivered an event in the past"):

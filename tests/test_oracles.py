@@ -27,7 +27,7 @@ import pytest
 from sectrack.channel import ranging_noise_std
 from sectrack.cipher import derive_stream_seed
 from sectrack.config import ScenarioConfig
-from sectrack.engine import MALICIOUS_TARGET, Engine
+from sectrack.engine import Engine
 from sectrack.geometry import Position, distance
 from sectrack.protocol import FRIENDLY, detection_single
 from sectrack.scenarios import SWITCHING_SPEEDS, multi_target_config, switching_config
@@ -103,7 +103,7 @@ def test_dishonest_screens_evade_at_the_closed_form_rate(p_wh, p_i, p_r, n_keys)
         for v in SWITCHING_SPEEDS:
             eng = Engine(switching_config(base, v, derive_stream_seed(1, "switching", rep)))
             for event in eng.run().verdicts:
-                if eng.nodes[event.peer].role is MALICIOUS_TARGET:
+                if eng.nodes[event.peer].malicious:
                     screens += 1
                     evaded += event.verdict == FRIENDLY.value
 

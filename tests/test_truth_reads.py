@@ -1,20 +1,21 @@
-"""Which engine functions read ground truth: pinned audits of ``role`` and position.
+"""Which engine functions read ground truth: pinned audits of ``malicious`` and position.
 
-A node's ``role`` and a target's true position are ground truth: a
-cluster head observes neither.  The engine's decisions should rest on
-what it can observe, so every function that reads ``role`` is pinned
-here, over short runs of three scenarios, together with the keys of every
-VERDICT payload.  A target's true position is marked where it is read,
-and every engine call that receives it is pinned.  A new reader or
-receiver fails its test until it is named: either as an observation, or
-as a leak.
+A node's ``malicious`` flag and a target's true position are ground
+truth: a cluster head observes neither.  The engine's decisions should
+rest on what it can observe, so every function that reads ``malicious``
+is pinned here, over short runs of three scenarios, together with the
+handler and the arguments of every VERDICT event.  A target's true
+position is marked where it is read, and every engine call that receives
+it is pinned.  A new reader or receiver fails its test until it is
+named: either as an observation, or as a leak.
 
-Both readers of ``role`` are known leaks (ROADMAP item 9):
+Both readers of ``malicious`` are known leaks (ROADMAP item 9):
 
-- ``_verify`` derives ``honest`` from the peer's role.  Passing it into
+- ``_verify`` derives ``honest`` from the peer's flag.  Passing it into
   the protocol as the candidate's behaviour is allowed.  Carrying it in
-  the verdict payload, where ``_handle_verdict`` reads it back, is a leak.
-- ``_reference_candidates`` filters references by role.
+  the VERDICT event, where ``_handle_verdict`` takes it as its
+  ``honest`` argument, is a leak.
+- ``_reference_candidates`` filters references by the flag.
 
 A target's true position may go to the channel, whose physics times the
 exchanges, and to scoring.  The zone anchor that ``_activate_track`` and
@@ -26,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import inspect
 from collections import Counter
 
 import pytest
@@ -36,8 +38,10 @@ from sectrack.config import ScenarioConfig
 from sectrack.geometry import Position
 from sectrack.scenarios import friendliness_config, multi_target_config, switching_config
 
-ROLE_READERS = {"_verify", "_reference_candidates"}
-VERDICT_KEYS = frozenset({"peer", "verdict", "honest"})
+MALICIOUS_READERS = {"_verify", "_reference_candidates"}
+# The VERDICT event's handler and the parameters its arguments fill;
+# ``honest`` is the leak.
+VERDICT_HANDLER = ("_handle_verdict", ("peer_id", "verdict", "honest"))
 
 
 def short_config(name: str) -> ScenarioConfig:
@@ -52,22 +56,24 @@ def short_config(name: str) -> ScenarioConfig:
 
 
 @pytest.mark.parametrize("name", ["switching", "multi-target", "friendliness"])
-def test_role_readers_and_verdict_payload_keys(name, monkeypatch):
+def test_malicious_readers_and_verdict_handler(name, monkeypatch):
     readers: set[str] = set()
-    payload_keys: set[frozenset[str]] = set()
+    verdict_handlers: set[tuple[str, tuple[str, ...]]] = set()
 
     class AuditedNode(engine.NodeState):
         def __getattribute__(self, attr):
-            if attr == "role":
+            if attr == "malicious":
                 readers.add(sys._getframe(1).f_code.co_name)
             return super().__getattribute__(attr)
 
     push = engine.EventQueue.push
 
-    def recording_push(queue, time, kind, payload=None):
-        if kind is engine.VERDICT:
-            payload_keys.add(frozenset(payload))
-        push(queue, time, kind, payload)
+    def recording_push(queue, time, kind, handler, *args):
+        if kind is engine.EventKind.VERDICT:
+            params = tuple(inspect.signature(handler).parameters)[1:]  # after the time
+            assert len(args) == len(params)
+            verdict_handlers.add((handler.__name__, params))
+        push(queue, time, kind, handler, *args)
 
     monkeypatch.setattr(engine, "NodeState", AuditedNode)
     monkeypatch.setattr(engine.EventQueue, "push", recording_push)
@@ -76,8 +82,8 @@ def test_role_readers_and_verdict_payload_keys(name, monkeypatch):
 
     assert all(type(node) is AuditedNode for node in eng.nodes.values())
     assert log.tracks, "the run must activate a track, or no reference is ever chosen"
-    assert readers == ROLE_READERS
-    assert payload_keys == {VERDICT_KEYS}
+    assert readers == MALICIOUS_READERS
+    assert verdict_handlers == {VERDICT_HANDLER}
 
 
 # Functions that read a target's true position from ``NodeState.position``.
@@ -123,7 +129,7 @@ def test_truth_position_readers_and_tick_receivers(name, monkeypatch):
 
     def position(node):
         pos = node.mobility.position
-        if node.role is not engine.MALICIOUS_TARGET:
+        if not node.malicious:
             return pos
         truth = Truth(*pos)
         truth.reader = sys._getframe(1).f_code.co_name
