@@ -726,24 +726,13 @@ class TestDetectionOrder:
             static_ids=frozenset(range(7)),
         )
         eng = Engine(cfg)
-        activated = []
-        activate = eng._activate_track
-
-        def recording_activate(target_id, t):
-            ok = activate(target_id, t)
-            if ok:
-                activated.append((target_id, t))
-            return ok
-
-        eng._activate_track = recording_activate
         log = eng.run()
-        first = [(ev.t, ev.peer) for ev in log.verdicts if ev.peer in (5, 6)][:2]
-        assert [peer for _, peer in first] == [5, 6]
-        assert first[0][0] == first[1][0]
-        assert all(ev.verdict == protocol.MALICIOUS.value for ev in log.verdicts if ev.peer >= 5)
+        screens = [(ev.t, ev.peer, ev.verdict) for ev in log.verdicts if ev.peer >= 5]
+        t = screens[0][0]
+        assert screens == [(t, 5, "malicious"), (t, 6, "malicious")]
         assert eng._detected == [5, 6]
-        assert [target for target, _ in activated] == [5, 6]
-        assert activated[0][1] < activated[1][1]
+        # No track leaves ``tracks``, which keeps them in activation order.
+        assert list(eng.tracks) == [5, 6]
 
 
 class TestRelationBusy:

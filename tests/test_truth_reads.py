@@ -25,9 +25,9 @@ exchanges, and to scoring.  The zone anchor that ``_activate_track`` and
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import sys
-import inspect
 from collections import Counter
 
 import pytest
