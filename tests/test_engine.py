@@ -120,6 +120,34 @@ class TestEventQueue:
         assert order == [(2.0, EventKind.SCAN_DONE, no_op, (i,)) for i in range(10)]
 
 
+class TestRunLoop:
+    """The loop calls each event's handler with the event's time and arguments."""
+
+    @staticmethod
+    def recorder(calls: list):
+        def handle(t, *args) -> None:
+            calls.append((t, args))
+
+        return handle
+
+    def test_an_event_runs_its_handler_with_its_arguments(self):
+        eng = Engine(quiet_cluster(duration=20.0))
+        calls: list = []
+        eng.queue.push(7.5, EventKind.TRACK, self.recorder(calls), 3, "x")
+        eng.queue.push(2.5, EventKind.SWEEP, self.recorder(calls))
+        eng.run()
+        assert calls == [(2.5, ()), (7.5, (3, "x"))]
+        assert eng.now == 20.0
+
+    def test_an_event_past_the_end_is_dropped_unrun(self):
+        eng = Engine(quiet_cluster(duration=20.0))
+        calls: list = []
+        eng.queue.push(20.5, EventKind.TRACK, self.recorder(calls), 3)
+        eng.run()
+        assert calls == []
+        assert eng.now == 20.0
+
+
 class TestSchedule:
     @staticmethod
     def _scheduled(cfg: ScenarioConfig) -> dict[EventKind, list[float]]:
@@ -700,6 +728,16 @@ class TestFriendlinessTimers:
         assert [ev.t for ev in log.verdicts if ev.peer == 1] == sweeps
 
 
+# Short runs of three scenarios, by name.
+SHORT_SCENARIOS = {
+    "friendliness": lambda: friendliness_config(ScenarioConfig(master_seed=1, duration=100.0)),
+    "multi-target": lambda: multi_target_config(ScenarioConfig(duration=100.0), master_seed=41),
+    "switching": lambda: switching_config(
+        ScenarioConfig(duration=100.0), v_max=5.0, master_seed=3
+    ),
+}
+
+
 class TestDetectionOrder:
     """Detected targets wait for their pair in the order their verdicts landed."""
 
@@ -733,6 +771,34 @@ class TestDetectionOrder:
         assert eng._detected == [5, 6]
         # No track leaves ``tracks``, which keeps them in activation order.
         assert list(eng.tracks) == [5, 6]
+
+    @pytest.mark.parametrize("name", sorted(SHORT_SCENARIOS))
+    def test_each_caught_target_is_listed_once_in_verdict_order(self, name):
+        # MALICIOUS is final for a target: no sweep screens it again.  An
+        # honest relation's failed re-screen is not a catch: it scans.
+        eng = Engine(SHORT_SCENARIOS[name]())
+        log = eng.run()
+        caught = [
+            ev.peer
+            for ev in log.verdicts
+            if ev.verdict == "malicious" and eng.nodes[ev.peer].malicious
+        ]
+        assert caught, "the run catches no target, so it shows nothing"
+        assert eng._detected == caught
+        assert set(caught) == {
+            peer for peer, rec in eng.relations.items() if rec.status is protocol.MALICIOUS
+        }
+
+
+class TestTruthFlag:
+    @pytest.mark.parametrize("name", sorted(SHORT_SCENARIOS))
+    def test_the_last_malicious_count_nodes_are_the_malicious_ones(self, name):
+        cfg = SHORT_SCENARIOS[name]()
+        eng = Engine(cfg)
+        first_target = cfg.node_count - cfg.malicious_count
+        assert [nid for nid, node in eng.nodes.items() if node.malicious] == list(
+            range(first_target, cfg.node_count)
+        )
 
 
 class TestRelationBusy:
