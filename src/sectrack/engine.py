@@ -67,12 +67,6 @@ BASELINE_MARGIN = 25.0
 AREA_SLACK = 10.0
 
 
-# A relation's status is the screen's standing verdict, so its members
-# are the protocol's own.
-FRIENDLY = protocol.FRIENDLY
-MALICIOUS = protocol.MALICIOUS
-
-
 @dataclass(eq=False)  # beams compare by identity
 class SectorBeam:
     """One sector of a node's antenna; its sector is its slot in ``NodeState.sectors``.
@@ -92,7 +86,7 @@ class SectorBeam:
 class FriendRecord:
     """The cluster head's relation with one screened neighbor."""
 
-    status: protocol.Verdict | None = None  # None: no standing verdict
+    friendly: bool = False  # the last screen passed and still stands
     consecutive_failures: int = 0
     busy: bool = False  # a screen's verdict or a failed screen's scan is due
 
@@ -222,8 +216,8 @@ class Engine:
         self.relations: dict[int, FriendRecord] = {}
 
         self.tracks: dict[int, Track] = {}
-        # Detected targets in the order their MALICIOUS verdicts landed;
-        # that verdict is final, as a sweep never screens the peer again.
+        # Detected targets in the order their failing verdicts landed; the
+        # detection is final, as a sweep never screens the peer again.
         self._detected: list[int] = []
         self._last_activation = float("-inf")
         # Scripted re-auth failures: ascending times per peer, consumed from the front.
@@ -331,12 +325,12 @@ class Engine:
         self.log.friend_events.append(FriendEvent(t, self.ch_node.id, peer_id, event, delay))
 
     def reauthentication_tick(self, t: float) -> None:
-        """Screen every peer whose relation is neither MALICIOUS nor busy."""
+        """Screen every peer that is neither detected nor busy."""
         for peer_id in sorted(self.nodes):
             if peer_id == self.ch_node.id:
                 continue
             rec = self.relations.get(peer_id)
-            if rec and (rec.status is MALICIOUS or rec.busy):
+            if rec and rec.busy or peer_id in self._detected:
                 continue
             self._verify(peer_id, t)
 
@@ -352,7 +346,7 @@ class Engine:
         first = ch.exchange(ch_pos, peer_pos, t, 0.0, self.chan, self.rng_channel)
         if first is None:
             if self._is_friendly(peer_id):
-                self.relations[peer_id].status = None
+                self.relations[peer_id].friendly = False
                 self._relation_event(t, peer_id, "out_of_range")
                 self._suspend_tracks_using(peer_id, t, reauth=False)
             return
@@ -377,7 +371,7 @@ class Engine:
         challenge_time = 2.0 * self.cfg.j_max * d / self.chan.c
         # A noisy stamp may read before t; the verdict is never due before the screen.
         decided_at = max(t, second.toa_a + challenge_time + self.cfg.auth_duration)
-        verdict = protocol.complete_verification(
+        passed = protocol.complete_verification(
             init_seeds,
             cand_seeds,
             ch_node.id,
@@ -388,20 +382,18 @@ class Engine:
             rng=self.rng_protocol,
         )
         self.queue.push(
-            decided_at, EventKind.VERDICT, self._handle_verdict, peer_id, verdict, honest
+            decided_at, EventKind.VERDICT, self._handle_verdict, peer_id, passed, honest
         )
         self.relations.setdefault(peer_id, FriendRecord()).busy = True
 
-    def _handle_verdict(
-        self, t: float, peer_id: int, verdict: protocol.Verdict, honest: bool
-    ) -> None:
+    def _handle_verdict(self, t: float, peer_id: int, passed: bool, honest: bool) -> None:
         rec = self.relations[peer_id]  # made by the screen
         rec.busy = False
-        self.log.verdicts.append(VerdictEvent(t, self.ch_node.id, peer_id, verdict.value))
+        rec.friendly = passed
+        self.log.verdicts.append(VerdictEvent(t, self.ch_node.id, peer_id, passed))
 
-        if verdict is FRIENDLY:
+        if passed:
             recovered = rec.consecutive_failures > 0
-            rec.status = verdict
             rec.consecutive_failures = 0
             self._relation_event(t, peer_id, "reauth_ok")
             if recovered:
@@ -409,13 +401,11 @@ class Engine:
             return
 
         if not honest:
-            rec.status = verdict
             self._detected.append(peer_id)
             self._relation_event(t, peer_id, "detected_malicious")
             return
 
-        # Honest relation failed re-authentication: demote and scan.
-        rec.status = None
+        # Honest relation failed re-authentication: scan.
         rec.consecutive_failures += 1
         scan = SCAN_DURATION + (
             CONSECUTIVE_SCAN_PENALTY if rec.consecutive_failures >= 2 else 0.0
@@ -449,7 +439,7 @@ class Engine:
 
     def _is_friendly(self, node_id: int) -> bool:
         rec = self.relations.get(node_id)
-        return rec is not None and rec.status is FRIENDLY
+        return rec is not None and rec.friendly
 
     def _resume_tracks_awaiting(self, peer_id: int, t: float) -> None:
         for target in sorted(self.tracks):

@@ -59,7 +59,7 @@ class VerdictEvent(NamedTuple):
     t: float
     node: int
     peer: int
-    verdict: str
+    passed: bool
 
 
 @dataclass

@@ -10,24 +10,12 @@ one seed gives one trajectory.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from sectrack.geometry import Position
-
-
-class MobilityKind(enum.Enum):
-    RANDOM_WAYPOINT = "random_waypoint"
-    PARALLEL_PATH = "parallel_path"
-
-
-# Bound once, so the per-mover kind test in step() is a global read on
-# CPython 3.10 and 3.11, where EnumType.__getattr__ serves class lookups.
-RANDOM_WAYPOINT = MobilityKind.RANDOM_WAYPOINT
-PARALLEL_PATH = MobilityKind.PARALLEL_PATH
 
 
 @dataclass(slots=True)
@@ -37,7 +25,7 @@ class MobilityState:
     waypoint: Position = Position(0.0, 0.0)
     v_min: float = 0.0
     v_max: float = 0.0
-    kind: MobilityKind = RANDOM_WAYPOINT
+    parallel: bool = False  # marches on a parallel path; roams by waypoints otherwise
 
     @property
     def speed(self) -> float:
@@ -50,9 +38,7 @@ def make_random_waypoint(
     """Roaming state with the first waypoint and speed already drawn."""
     if v_min > v_max:
         raise ValueError("v_min must not exceed v_max")
-    state = MobilityState(
-        position=position, v_min=v_min, v_max=v_max, kind=RANDOM_WAYPOINT
-    )
+    state = MobilityState(position=position, v_min=v_min, v_max=v_max)
     if v_max == 0.0:
         state.waypoint = position
     else:
@@ -69,7 +55,7 @@ def make_parallel_path(position: Position, speed: float, heading: float) -> Mobi
         waypoint=position,
         v_min=speed,
         v_max=speed,
-        kind=PARALLEL_PATH,
+        parallel=True,
     )
 
 
@@ -157,7 +143,7 @@ def step(
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if state.kind is PARALLEL_PATH:
+    if state.parallel:
         for _ in range(steps):
             _step_parallel(state, dt, area)
     else:

@@ -2,9 +2,9 @@
 
 ``complete_verification`` goes in one call from the seed pairs that the
 initiator and the candidate derived in the preamble (location and
-round-trip time) to a verdict.  Honest candidates run the real chained
-cipher with their own seeds; a candidate whose seeds disagree fails the
-challenge.  Adversarial candidates are abstracted by three replay
+round-trip time) to a pass or a fail.  Honest candidates run the real
+chained cipher with their own seeds; a candidate whose seeds disagree
+fails the challenge.  Adversarial candidates are abstracted by three replay
 probabilities, and the closed-form detection probability they induce is
 cross-checked by a Monte Carlo sampler that simulates the replay draws
 directly.
@@ -12,7 +12,6 @@ directly.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, fields
 
@@ -20,17 +19,6 @@ import numpy as np
 
 from sectrack import cipher
 from sectrack.cipher import EnsemblePacket, SeedPair
-
-
-class Verdict(enum.Enum):
-    FRIENDLY = "friendly"
-    MALICIOUS = "malicious"
-
-
-# Bound once, so a verdict costs a global read on CPython 3.10 and 3.11,
-# where an enum class lookup goes through EnumType.__getattr__.
-FRIENDLY = Verdict.FRIENDLY
-MALICIOUS = Verdict.MALICIOUS
 
 
 @dataclass(frozen=True)
@@ -130,25 +118,24 @@ def complete_verification(
     adversary: AdversaryModel,
     n_keys: int,
     rng: np.random.Generator,
-) -> Verdict:
-    """Screen one candidate and return its verdict.
+) -> bool:
+    """Screen one candidate; True exactly when it passes.
 
     Honest candidates exercise the real cipher chain of ``j_max`` packets
     keyed by ``initiator_id``; they pass exactly when their seeds match
-    the initiator's.  Dishonest candidates are screened by ``n_keys``
-    independent key checks whose detection odds follow the replay model.
+    the initiator's.  Dishonest candidates pass only by slipping through
+    ``n_keys`` independent key checks whose detection odds follow the
+    replay model.
 
     The challenge payloads are the next raw 64-bit words of
     ``rng.bit_generator``.  For a ``default_rng`` (PCG64) generator that
     has drawn no odd number of 32-bit values, they equal ``rng.bytes``.
     """
     if candidate_honest:
-        passed = _run_honest_challenge(initiator_seeds, candidate_seeds, initiator_id, j_max, rng)
-    else:
-        if n_keys < 1:
-            raise ValueError("n_keys must be at least 1")
-        passed = _sample_evasion(adversary, n_keys, rng)
-    return FRIENDLY if passed else MALICIOUS
+        return _run_honest_challenge(initiator_seeds, candidate_seeds, initiator_id, j_max, rng)
+    if n_keys < 1:
+        raise ValueError("n_keys must be at least 1")
+    return _sample_evasion(adversary, n_keys, rng)
 
 
 def detection_single(adv: AdversaryModel) -> float:

@@ -68,8 +68,10 @@ def _layout_scale(cfg: ScenarioConfig) -> float:
     return min(cfg.area_side / LAYOUT_SIDE, 1.0)
 
 
-# Ids below this are the static cluster head and references; targets follow.
+# Ids below these are a fixed layout's static cluster head and references;
+# its targets follow.
 MULTI_TARGET_FIRST_ID = 10
+TRAJECTORY_FIRST_ID = 9
 
 
 def multi_target_config(cfg: ScenarioConfig, master_seed: int) -> ScenarioConfig:
@@ -104,8 +106,8 @@ def multi_target_config(cfg: ScenarioConfig, master_seed: int) -> ScenarioConfig
         )
     return dataclasses.replace(
         cfg,
-        node_count=14,
-        malicious_count=4,
+        node_count=MULTI_TARGET_FIRST_ID + len(bearings),
+        malicious_count=len(bearings),
         master_seed=master_seed,
         model="random_waypoint",
         v_min=0.3,
@@ -145,18 +147,19 @@ def trajectory_config(cfg: ScenarioConfig) -> ScenarioConfig:
     for i, x in enumerate((60.0, 150.0, 240.0, 330.0)):
         placements[1 + i] = Position(x * s, 80.0 * s)
         placements[5 + i] = Position(x * s, 320.0 * s)
-    for k in range(4):
-        placements[9 + k] = Position(40.0 * s, (140.0 + k * spacing) * s)
+    lanes = 4
+    for k in range(lanes):
+        placements[TRAJECTORY_FIRST_ID + k] = Position(40.0 * s, (140.0 + k * spacing) * s)
     return dataclasses.replace(
         cfg,
-        node_count=13,
-        malicious_count=4,
+        node_count=TRAJECTORY_FIRST_ID + lanes,
+        malicious_count=lanes,
         model="parallel_path",
         heading=0.0,
         v_min=0.8,
         v_max=0.8,
         placements=placements,
-        static_ids=frozenset(range(9)),
+        static_ids=frozenset(range(TRAJECTORY_FIRST_ID)),
     )
 
 

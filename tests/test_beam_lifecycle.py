@@ -18,7 +18,6 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule  # noqa: E402
 
 import test_engine  # noqa: E402
-from sectrack import protocol  # noqa: E402
 from sectrack.engine import SCAN_DURATION, Engine, FriendRecord, Track  # noqa: E402
 from sectrack.geometry import Position, bearing_deg, sector_of  # noqa: E402
 from sectrack.metrics import SwitchCause, TrackRecord  # noqa: E402
@@ -52,9 +51,7 @@ def lifecycle_engine() -> Engine:
         )
     )
     for ref in REFS:
-        eng.relations[ref] = FriendRecord(status=protocol.FRIENDLY)
-    for target in TARGETS:
-        eng.relations[target] = FriendRecord(status=protocol.MALICIOUS)
+        eng.relations[ref] = FriendRecord(friendly=True)
     eng._detected.extend(TARGETS)
     return eng
 
@@ -70,9 +67,9 @@ class BeamLifecycle(RuleBasedStateMachine):
         self.t += dt
         return self.t
 
-    def verdict(self, ref: int, verdict: protocol.Verdict, dt: float) -> None:
+    def verdict(self, ref: int, passed: bool, dt: float) -> None:
         if ref not in self.scanning:  # a scanning relation is not screened
-            self.eng._handle_verdict(self.later(dt), ref, verdict, True)
+            self.eng._handle_verdict(self.later(dt), ref, passed, True)
             if self.eng.relations[ref].busy:  # only a failed verdict leaves it busy
                 self.scanning.add(ref)
 
@@ -88,14 +85,14 @@ class BeamLifecycle(RuleBasedStateMachine):
 
     @rule(ref=st.sampled_from(REFS), dt=STEPS)
     def fail_reauth(self, ref, dt):
-        self.verdict(ref, protocol.MALICIOUS, dt)
+        self.verdict(ref, False, dt)
 
     @rule(ref=st.sampled_from(REFS), dt=STEPS)
     def pass_reauth(self, ref, dt):
         # A failed relation is screened again when its scan ends; passing
         # then resumes the tracks waiting on ``ref``.
         self.end_reference_scan(ref, 0.0)
-        self.verdict(ref, protocol.FRIENDLY, dt)
+        self.verdict(ref, True, dt)
 
     @rule(ref=st.sampled_from(REFS), dt=STEPS)
     def end_reference_scan(self, ref, dt):

@@ -10,7 +10,6 @@ import pytest
 
 from sectrack.geometry import Position
 from sectrack.mobility import (
-    MobilityKind,
     MobilityState,
     _fold,
     make_parallel_path,
@@ -36,7 +35,7 @@ def _oracle_retarget(state, area, rng):
 
 
 def _oracle_step(state, dt, area, rng):
-    if state.kind is MobilityKind.PARALLEL_PATH:
+    if state.parallel:
         x, sx = _fold(state.position[0] + state.velocity[0] * dt, 0.0, area)
         y, sy = _fold(state.position[1] + state.velocity[1] * dt, 0.0, area)
         return replace(
@@ -250,6 +249,7 @@ class TestParallelPath:
         assert state.velocity[0] == pytest.approx(-10.0)
         assert state.position.y == 200.0
 
-    def test_kind_tag(self):
-        s = make_parallel_path(Position(0, 0), 1.0, 90.0)
-        assert s.kind is MobilityKind.PARALLEL_PATH
+    def test_parallel_flag(self):
+        assert make_parallel_path(Position(0, 0), 1.0, 90.0).parallel
+        rng = np.random.default_rng(0)
+        assert not make_random_waypoint(Position(0, 0), 1.0, 2.0, 400.0, rng).parallel

@@ -29,7 +29,7 @@ from sectrack.cipher import derive_stream_seed
 from sectrack.config import ScenarioConfig
 from sectrack.engine import Engine
 from sectrack.geometry import Position, distance
-from sectrack.protocol import FRIENDLY, detection_single
+from sectrack.protocol import detection_single
 from sectrack.scenarios import SWITCHING_SPEEDS, multi_target_config, switching_config
 
 TOLERANCE_M = 1e-6
@@ -105,7 +105,7 @@ def test_dishonest_screens_evade_at_the_closed_form_rate(p_wh, p_i, p_r, n_keys)
             for event in eng.run().verdicts:
                 if eng.nodes[event.peer].malicious:
                     screens += 1
-                    evaded += event.verdict == FRIENDLY.value
+                    evaded += event.passed
 
     q = (1.0 - detection_single(base.adversary_model())) ** n_keys
     z = (evaded - screens * q) / math.sqrt(screens * q * (1.0 - q))

@@ -13,7 +13,6 @@ from sectrack.cipher import EnsemblePacket, SeedPair
 from sectrack.protocol import (
     MC_BLOCK_TRIALS,
     AdversaryModel,
-    Verdict,
     _challenge_payloads,
     _replay_fail_threshold,
     _run_honest_challenge,
@@ -50,28 +49,28 @@ def _verify(
 
 
 class TestSessions:
-    """One call per screening, from agreed seeds to a verdict."""
+    """One call per screening, from agreed seeds to a pass or a fail."""
 
     def test_honest_matching_seeds_verified(self):
-        assert _verify() is Verdict.FRIENDLY
+        assert _verify() is True
 
     def test_honest_wrong_rtt_bucket_rejected(self):
         bad = SeedPair(SEEDS.loc_seed, SEEDS.rtt_seed + 1)
-        assert _verify(SEEDS, bad) is Verdict.MALICIOUS
+        assert _verify(SEEDS, bad) is False
 
     def test_honest_wrong_location_seed_rejected(self):
         bad = SeedPair.from_measurements(51.9, 53.0, 4e-7)
-        assert _verify(SEEDS, bad) is Verdict.MALICIOUS
+        assert _verify(SEEDS, bad) is False
 
     def test_dishonest_zero_replays_always_malicious(self):
         for seed in range(20):
             v = _verify(honest=False, adversary=AdversaryModel(0, 0, 0), n_keys=4, rng=seed)
-            assert v is Verdict.MALICIOUS
+            assert v is False
 
     def test_dishonest_certain_replays_never_detected(self):
         for seed in range(20):
             v = _verify(honest=False, adversary=AdversaryModel(1, 1, 1), n_keys=5, rng=seed)
-            assert v is Verdict.FRIENDLY
+            assert v is True
 
     def test_dishonest_verdict_rate_tracks_closed_form(self):
         adv = AdversaryModel(0.5, 0.5, 0.5)
@@ -81,7 +80,7 @@ class TestSessions:
         trials = 4000
         for _ in range(trials):
             v = _verify(honest=False, j_max=1, adversary=adv, n_keys=n, rng=rng)
-            hits += v is Verdict.MALICIOUS
+            hits += not v
         p = detection_rate(adv, n)
         assert abs(hits / trials - p) < 4 * math.sqrt(p * (1 - p) / trials)
 

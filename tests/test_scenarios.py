@@ -10,11 +10,13 @@ import pytest
 from sectrack.config import SCENARIO_NAMES, ConfigError, ScenarioConfig, parse_config
 from sectrack.cipher import derive_stream_seed
 from sectrack.engine import Engine
-from sectrack.geometry import Position
+from sectrack.geometry import Position, bearing_deg, sector_of
 from sectrack.metrics import switching_overhead
 from sectrack.scenarios import (
     FRIENDLINESS_MIN_SIDE,
+    MULTI_TARGET_FIRST_ID,
     RUNNERS,
+    TRAJECTORY_FIRST_ID,
     friendliness_config,
     multi_target_config,
     run_detection,
@@ -72,10 +74,37 @@ class TestTrajectoryConstruct:
         eng = Engine(cfg)
         start = {nid: n.position for nid, n in eng.nodes.items()}
         eng.run()
-        for nid in range(9):
+        for nid in range(TRAJECTORY_FIRST_ID):
             assert eng.nodes[nid].position == start[nid]
-        for nid in range(9, 13):
+        for nid in range(TRAJECTORY_FIRST_ID, cfg.node_count):
             assert eng.nodes[nid].position != start[nid]
+
+
+class TestFixedLayoutIds:
+    @pytest.mark.parametrize(
+        "build, first",
+        [
+            (lambda cfg: multi_target_config(cfg, master_seed=1), MULTI_TARGET_FIRST_ID),
+            (trajectory_config, TRAJECTORY_FIRST_ID),
+        ],
+        ids=["multi-target", "trajectory"],
+    )
+    def test_the_targets_follow_the_static_references(self, build, first):
+        cfg = build(ScenarioConfig(master_seed=1))
+        # The engine makes the last malicious_count ids its targets.
+        assert cfg.node_count - cfg.malicious_count == first
+        assert cfg.static_ids == frozenset(range(first))
+        assert sorted(cfg.placements) == list(range(cfg.node_count))
+
+    def test_each_multi_target_starts_in_the_primary_sector_of_its_row(self):
+        # run_multi_target keys a target's row by its id's offset from the first.
+        cfg = multi_target_config(ScenarioConfig(master_seed=1), master_seed=1)
+        primary = cfg.placements[1]
+        sectors = [
+            sector_of(bearing_deg(primary, cfg.placements[target]), cfg.sectors)
+            for target in range(MULTI_TARGET_FIRST_ID, cfg.node_count)
+        ]
+        assert sectors == list(range(cfg.malicious_count))
 
 
 class TestFriendlinessConstruct:

@@ -41,7 +41,7 @@ from sectrack.scenarios import friendliness_config, multi_target_config, switchi
 MALICIOUS_READERS = {"_verify", "_reference_candidates"}
 # The VERDICT event's handler and the parameters its arguments fill;
 # ``honest`` is the leak.
-VERDICT_HANDLER = ("_handle_verdict", ("peer_id", "verdict", "honest"))
+VERDICT_HANDLER = ("_handle_verdict", ("peer_id", "passed", "honest"))
 
 
 def short_config(name: str) -> ScenarioConfig:

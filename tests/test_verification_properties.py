@@ -18,7 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 from sectrack import protocol, scenarios  # noqa: E402
 from sectrack.cipher import SeedPair  # noqa: E402
 from sectrack.config import ScenarioConfig  # noqa: E402
-from sectrack.protocol import AdversaryModel, Verdict, complete_verification  # noqa: E402
+from sectrack.protocol import AdversaryModel, complete_verification  # noqa: E402
 
 seed_pairs = st.builds(
     lambda dist, bearing, rtt: SeedPair((dist << 32) | bearing, rtt),
@@ -56,7 +56,7 @@ def initiator_and_candidate_seeds(draw):
 )
 def test_honest_verdict_is_friendly_iff_seeds_equal(seeds, initiator_id, j_max, seed):
     init, cand = seeds
-    verdict = complete_verification(
+    passed = complete_verification(
         init,
         cand,
         initiator_id,
@@ -66,7 +66,7 @@ def test_honest_verdict_is_friendly_iff_seeds_equal(seeds, initiator_id, j_max, 
         n_keys=1,
         rng=np.random.default_rng(seed),
     )
-    assert (verdict is Verdict.FRIENDLY) == (init == cand)
+    assert passed == (init == cand)
 
 
 # The run-level oracle: outside the cipher, an honest screen passes exactly
