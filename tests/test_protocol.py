@@ -88,6 +88,35 @@ class TestSessions:
         with pytest.raises(ValueError):
             _verify(honest=False, n_keys=0)
 
+    def test_honest_screen_does_not_read_n_keys(self):
+        # The key-check count models the adversary alone; an honest
+        # candidate runs the cipher chain whatever it is.
+        assert _verify(n_keys=0) is True
+
+    @pytest.mark.parametrize(
+        "adversary, draws",
+        [(AdversaryModel(1, 1, 1), 15), (AdversaryModel(0, 0, 0), 3)],
+        ids=["slips-through-all-five", "caught-at-the-first"],
+    )
+    def test_dishonest_screen_draws_three_per_key_check_made(self, adversary, draws):
+        # Later screens in a run share this stream, so the draw count is
+        # part of every pinned output: three replay draws per check, and
+        # none after the check that catches the candidate.
+        rng = np.random.default_rng(7)
+        complete_verification(
+            SEEDS,
+            SEEDS,
+            1,
+            j_max=4,
+            candidate_honest=False,
+            adversary=adversary,
+            n_keys=5,
+            rng=rng,
+        )
+        expected = np.random.default_rng(7)
+        expected.random(draws)
+        assert rng.random() == expected.random()
+
 
 def oracle_honest_challenge(initiator_seeds, candidate_seeds, initiator_id, j_max, rng):
     # Reference form of the honest challenge: keys and packets indexed by
